@@ -37,11 +37,6 @@ from .model import (
 
 TASKS = ("solve-average", "solve-risk", "evaluate", "verify", "ldp-check", "sweep-gamma", "gen-model")
 
-_CONFIG_FIELDS = {
-    "task", "model", "schedule", "gamma", "gammas", "k", "x", "horizon", "horizons",
-    "epsilon", "tol", "seed", "panel_size", "out", "f", "kappa", "n_grid", "reps", "window",
-}
-
 _GENERATOR_FIELDS = {"n_states", "n_actions", "min_entry", "seed"}
 
 
@@ -66,6 +61,9 @@ class ExperimentConfig:
     n_grid: list | None = None
     reps: int = 0
     window: int | None = None
+
+
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _fmt(x) -> str:
@@ -520,10 +518,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         val = getattr(args, key, None)
         if val is not None:
             values[key] = val
-    if args.gammas:
-        values["gammas"] = [float(t) for t in args.gammas.split(",")]
-    if args.horizons:
-        values["horizons"] = [int(t) for t in args.horizons.split(",")]
+    try:
+        if args.gammas:
+            values["gammas"] = [float(t) for t in args.gammas.split(",")]
+        if args.horizons:
+            values["horizons"] = [int(t) for t in args.horizons.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--gammas and --horizons take comma-separated numbers: {exc}") from exc
     if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file does not exist: {args.config}")
@@ -534,8 +535,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad config JSON: {exc}") from exc
         # configuration files are the reproducible record: they win over flags
         values.update(_load_config_mapping(data))
-    known = {f.name for f in fields(ExperimentConfig)}
-    return ExperimentConfig(**{k: v for k, v in values.items() if k in known})
+    return ExperimentConfig(**{k: v for k, v in values.items() if k in _CONFIG_FIELDS})
 
 
 def main(argv=None) -> int:

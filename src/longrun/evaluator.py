@@ -2,9 +2,11 @@
 functionals, seeded Monte-Carlo estimation, and the inequality checks that
 tie finite-horizon values to the solved long-run gains.
 
-All exact expectations propagate the state distribution (or its log-domain
-risk counterpart) forward step by step, costing O(n * n_states^2); nothing
-in this module enumerates paths.
+Every policy is read as one (n, n_states) action table over the evaluated
+window, and both exact expectations come from one forward recursion of the
+state distribution, tilted by exp(gamma * phi * c) per step for the risk
+functional and untilted for the discounted one, costing O(n * n_states^2);
+nothing in this module enumerates paths.
 """
 
 from __future__ import annotations
@@ -52,27 +54,61 @@ class SimulationResult:
     normalizer: float
 
 
-def _policy_entry(policy, i: int) -> StationaryPolicy:
+def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int):
+    """phi weights, their partial sum, and the (n, n_states) action and reward
+    tables of a policy over the time window [k, k + n), checked against the
+    model."""
+    if n < 1:
+        raise InvalidModel("horizon must be at least 1")
+    phi = schedule.phi_array(k, n)
+    norm = phi_partial_sum(schedule, k, n)
+    if norm <= 0.0:
+        raise InvalidModel("schedule mass over the window must be positive")
     if isinstance(policy, StationaryPolicy):
-        return policy
-    if isinstance(policy, TimeVaryingPolicy):
-        return policy.entry_at(i)
-    raise InvalidModel(f"unsupported policy type {type(policy).__name__}")
+        table = np.asarray(policy.actions, dtype=int)[None, :]
+        rows = np.zeros(n, dtype=int)
+    elif isinstance(policy, TimeVaryingPolicy):
+        table = policy.table
+        rows = np.clip(np.arange(k, k + n) - policy.start, 0, len(table) - 1)
+    else:
+        raise InvalidModel(f"unsupported policy type {type(policy).__name__}")
+    if table.shape[1] != model.n_states:
+        raise InvalidModel(f"policy covers {table.shape[1]} states, model has {model.n_states}")
+    actions = table[rows]
+    if (actions >= model.n_actions).any():
+        raise InvalidModel("policy uses an action index outside the model's action set")
+    return phi, norm, actions, model.reward[np.arange(model.n_states), actions]
 
 
-def _step_tables(model: Model, policy, k: int, n: int):
-    """Per-step (P_u, c_u) pairs, shared between steps that reuse an entry."""
-    if isinstance(policy, StationaryPolicy):
-        pair = (model.policy_kernel(policy), model.policy_reward(policy))
-        return [pair] * n
-    cache = {}
-    out = []
-    for j in range(n):
-        u = _policy_entry(policy, k + j)
-        if id(u) not in cache:
-            cache[id(u)] = (model.policy_kernel(u), model.policy_reward(u))
-        out.append(cache[id(u)])
-    return out
+def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
+    """Scaled forward recursion of the tilted state distribution from X_0 = x.
+
+    Returns (z, log_scale) with ln(z[j, y]) + log_scale[j] equal to
+    ln E[exp(sum_{i<=j} tilt[i, X_i]) ; X_j = y], the step-j mass once its
+    tilt is applied.  Each step shifts by the maximum of ln z + tilt[j], so
+    the largest entry of every row is 1 whatever the size of the tilt:
+    nothing overflows, and an entry underflows only when it is below about
+    1e-308 of the largest.
+    """
+    n, s = actions.shape
+    if not 0 <= x < s:
+        raise InvalidModel("start state out of range")
+    states = np.arange(s)
+    z = np.empty((n, s))
+    log_scale = np.empty(n)
+    mass = np.zeros(s)
+    mass[x] = 1.0
+    shift = 0.0
+    with np.errstate(divide="ignore"):
+        for j in range(n):
+            e = np.log(mass) + tilt[j]
+            top = e.max()
+            shift += top
+            z[j] = np.exp(e - top)
+            log_scale[j] = shift
+            if j < n - 1:
+                mass = z[j] @ model.kernel[actions[j], states]
+    return z, log_scale
 
 
 def exact_discounted_value(
@@ -88,34 +124,10 @@ def exact_discounted_value(
     Computes sum_{i=k}^{n+k-1} phi(i) E[c(X_{i-k}, a_{i-k})] divided by the
     phi partial sum, by forward propagation of the state distribution.
     """
-    if n < 1:
-        raise InvalidModel("horizon must be at least 1")
-    if not 0 <= x < model.n_states:
-        raise InvalidModel("start state out of range")
-    phi = schedule.phi_array(k, n)
-    norm = phi_partial_sum(schedule, k, n)
-    if norm <= 0.0:
-        raise InvalidModel("schedule mass over the window must be positive")
-    steps = _step_tables(model, policy, k, n)
-    dist = np.zeros(model.n_states)
-    dist[x] = 1.0
-    total = 0.0
-    for j in range(n):
-        P, c = steps[j]
-        total += phi[j] * float(dist @ c)
-        if j < n - 1:
-            dist = dist @ P
+    phi, norm, actions, c = _window(model, policy, schedule, k, n)
+    z, log_scale = _forward(model, actions, x, np.zeros(actions.shape))
+    total = float(phi @ (np.exp(log_scale) * (z * c).sum(axis=1)))
     return EvaluationResult(value=total / norm, horizon=n, start_k=k, start_x=x, normalizer=norm)
-
-
-def _lse_columns(mat: np.ndarray) -> np.ndarray:
-    """Column-wise log-sum-exp with -inf columns passed through."""
-    m = mat.max(axis=0)
-    out = np.full(mat.shape[1], -np.inf)
-    ok = m > -np.inf
-    if ok.any():
-        out[ok] = m[ok] + np.log(np.exp(mat[:, ok] - m[ok]).sum(axis=0))
-    return out
 
 
 def exact_risk_value(
@@ -129,32 +141,17 @@ def exact_risk_value(
 ) -> EvaluationResult:
     """Exact truncation of the risk-sensitive phi-weighted functional.
 
-    Maintains the log-domain vector v_j(y) = ln E[exp(gamma * weighted
-    partial reward) ; X_j = y] and returns ln of its total mass divided by
-    gamma times the phi partial sum.  Works for arbitrarily large |gamma|
-    since no unshifted exponential is ever formed.
+    Propagates E[exp(gamma * weighted partial reward) ; X_j = y] forward,
+    tilting step j by exp(gamma * phi(k + j) * c), and returns ln of its
+    total mass divided by gamma times the phi partial sum.  Works for
+    arbitrarily large |gamma| since the recursion keeps its scale in a
+    running log normaliser.
     """
-    if n < 1:
-        raise InvalidModel("horizon must be at least 1")
     if gamma == 0.0:
         raise GammaNotAllowed("risk evaluation needs gamma != 0")
-    if not 0 <= x < model.n_states:
-        raise InvalidModel("start state out of range")
-    phi = schedule.phi_array(k, n)
-    norm = phi_partial_sum(schedule, k, n)
-    if norm <= 0.0:
-        raise InvalidModel("schedule mass over the window must be positive")
-    steps = _step_tables(model, policy, k, n)
-    with np.errstate(divide="ignore"):
-        log_kernels = {id(P): np.log(P) for P, _ in steps}
-    v = np.full(model.n_states, -np.inf)
-    v[x] = 0.0
-    for j in range(n):
-        P, c = steps[j]
-        v = v + gamma * phi[j] * c
-        if j < n - 1:
-            v = _lse_columns(v[:, None] + log_kernels[id(P)])
-    total = _lse_columns(v[:, None])[0]
+    phi, norm, actions, c = _window(model, policy, schedule, k, n)
+    z, log_scale = _forward(model, actions, x, gamma * phi[:, None] * c)
+    total = log_scale[-1] + math.log(z[-1].sum())
     return EvaluationResult(value=total / (gamma * norm), horizon=n, start_k=k, start_x=x, normalizer=norm)
 
 
@@ -178,14 +175,9 @@ def simulate(
     """
     if reps < 1:
         raise InvalidModel("need at least one replicate")
-    if n < 1:
-        raise InvalidModel("horizon must be at least 1")
     if gamma == 0.0:
         raise GammaNotAllowed("risk estimate needs gamma != 0")
-    phi = schedule.phi_array(k, n)
-    norm = phi_partial_sum(schedule, k, n)
-    if norm <= 0.0:
-        raise InvalidModel("schedule mass over the window must be positive")
+    phi, norm, actions, c = _window(model, policy, schedule, k, n)
     cum = model.kernel.cumsum(axis=2)
     weighted = np.empty(reps)
     for r in range(reps):
@@ -194,11 +186,9 @@ def simulate(
         state = x0
         total = 0.0
         for j in range(n):
-            u = _policy_entry(policy, k + j)
-            a = u.actions[state]
-            total += phi[j] * model.reward[state, a]
+            total += phi[j] * c[j, state]
             if j < n - 1:
-                state = int(np.searchsorted(cum[a, state], draws[j], side="right"))
+                state = int(np.searchsorted(cum[actions[j, state], state], draws[j], side="right"))
                 if state >= model.n_states:
                     state = model.n_states - 1
         weighted[r] = total
@@ -232,7 +222,7 @@ def random_policy_panel(model: Model, n_slices: int, size: int, seed: int, start
     panel = []
     for _ in range(size):
         table = rng.integers(0, model.n_actions, size=(n_slices, model.n_states))
-        panel.append(TimeVaryingPolicy(start, [StationaryPolicy(row) for row in table]))
+        panel.append(TimeVaryingPolicy(start, table))
     return panel
 
 

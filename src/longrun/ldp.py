@@ -4,8 +4,8 @@ finite-horizon large-deviation upper bounds for a fixed Markov kernel.
 Everything here concerns a single uncontrolled chain P (typically a policy
 kernel).  The rate function is evaluated by multi-start concave maximization
 over log test functions; the deviation-probability bounds are verified
-exactly, by matrix recursion for the exponential-martingale inequality and
-by full path enumeration for event probabilities.
+exactly, by the exact risk evaluator for the exponential-martingale
+inequality and by full path enumeration for event probabilities.
 """
 
 from __future__ import annotations
@@ -227,27 +227,18 @@ def dv_supermartingale_check(
 ) -> SupermartingaleCheck:
     """Exact check of E[exp(sum phi(i) ln(f/Pf)(X_i))] <= max f / min f.
 
-    The expectation is computed by forward matrix recursion on the
-    multiplicative functional, so the check is exact up to rounding for any
-    horizon.  Requires min f >= 1.
+    The expectation is the gamma = 1 exact risk value of the one-action
+    chain with reward ln(f/Pf), times its phi partial sum, so the check is
+    exact up to rounding for any horizon.  Requires min f >= 1.
     """
     P = _require_ergodic(P)
     f = np.asarray(f, dtype=float)
     if f.shape != (P.shape[0],) or not np.isfinite(f).all() or f.min() < 1.0:
         raise InvalidModel("f must be a finite vector with min f >= 1")
-    if n < 1:
-        raise InvalidModel("horizon must be at least 1")
-    if not 0 <= x < P.shape[0]:
-        raise InvalidModel("start state out of range")
     r = np.log(f) - np.log(P @ f)
-    phi = schedule.phi_array(k, n)
-    z = np.zeros(P.shape[0])
-    z[x] = 1.0
-    for j in range(n):
-        z = z * np.exp(phi[j] * r)
-        if j < n - 1:
-            z = z @ P
-    lhs = float(z.sum())
+    chain = Model(P[None, :, :], r[:, None])
+    res = exact_risk_value(chain, StationaryPolicy([0] * P.shape[0]), schedule, 1.0, k, n, x)
+    lhs = math.exp(res.value * res.normalizer)
     d_f = float(f.max() / f.min())
     return SupermartingaleCheck(lhs=lhs, d_f=d_f, passed=lhs <= d_f + 1e-12)
 

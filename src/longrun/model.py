@@ -125,29 +125,38 @@ class StationaryPolicy:
         return len(self.actions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeVaryingPolicy:
-    """A finite window of per-time-slice stationary policies.
+    """A finite window of per-time-slice actions, stored as one action table.
 
-    Entry j applies at time index start + j; beyond the window the last
-    entry repeats, and indices before the window clamp to the first entry.
+    Row j of the read-only (n_slices, n_states) int table applies at time
+    index start + j; beyond the window the last row repeats, and indices
+    before the window clamp to the first row.  Entries may be given as
+    StationaryPolicy instances or as rows of action indices.
     """
 
     start: int
-    entries: tuple
+    table: np.ndarray
 
-    def __init__(self, start: int, entries: Sequence[StationaryPolicy]):
-        ents = tuple(entries)
-        if len(ents) < 1:
+    def __init__(self, start: int, entries: Sequence):
+        rows = [e.actions if isinstance(e, StationaryPolicy) else e for e in entries]
+        if len(rows) < 1:
             raise InvalidModel("time-varying policy needs at least one entry")
-        if any(not isinstance(e, StationaryPolicy) for e in ents):
-            raise InvalidModel("entries must be StationaryPolicy instances")
+        try:
+            table = np.array(rows, dtype=int)
+        except (TypeError, ValueError) as exc:
+            raise InvalidModel("entries must be nonempty action rows of one common length") from exc
+        if table.ndim != 2 or table.shape[1] == 0:
+            raise InvalidModel("entries must be nonempty action rows of one common length")
+        if (table < 0).any():
+            raise InvalidModel("action indices must be nonnegative")
+        table.setflags(write=False)
         object.__setattr__(self, "start", int(start))
-        object.__setattr__(self, "entries", ents)
+        object.__setattr__(self, "table", table)
 
     def entry_at(self, i: int) -> StationaryPolicy:
-        j = min(max(i - self.start, 0), len(self.entries) - 1)
-        return self.entries[j]
+        j = min(max(i - self.start, 0), len(self.table) - 1)
+        return StationaryPolicy(self.table[j])
 
 
 # --------------------------------------------------------------------------
@@ -466,10 +475,14 @@ def model_from_dict(data: dict) -> Model:
     missing = _MODEL_FIELDS - set(data)
     if missing:
         raise InvalidModel(f"missing model fields: {sorted(missing)}")
-    kernel = np.asarray(data["kernel"], dtype=float)
-    reward = np.asarray(data["reward"], dtype=float)
+    try:
+        kernel = np.asarray(data["kernel"], dtype=float)
+        reward = np.asarray(data["reward"], dtype=float)
+        n_states, n_actions = int(data["n_states"]), int(data["n_actions"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidModel(f"model sizes and arrays must be numeric, arrays rectangular: {exc}") from exc
     model = Model(kernel, reward)
-    if model.n_states != int(data["n_states"]) or model.n_actions != int(data["n_actions"]):
+    if model.n_states != n_states or model.n_actions != n_actions:
         raise InvalidModel("declared n_states/n_actions do not match array shapes")
     return model
 
@@ -482,11 +495,11 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
-
-
-def schedule_to_dict(schedule: DiscountSchedule) -> dict:
-    return schedule.to_dict()
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
+            raise InvalidModel(f"model file is not valid JSON: {exc}") from exc
+    return model_from_dict(data)
 
 
 def schedule_from_dict(data: dict) -> DiscountSchedule:

@@ -74,10 +74,23 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"task": "verify", "bogus_field": 1}), encoding="utf-8")
     assert main(["verify", "--config", str(cfg)]) == 2
+    for flag in ("--gammas=a,b", "--horizons=1,x"):
+        assert main(["sweep-gamma", flag, "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
-def test_missing_model_exits_2(tmp_path):
+def test_missing_model_exits_2(tmp_path, capsys):
     assert main(["solve-average", "--model", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+    # a model file that exists but is not a model is a usage error as well
+    bad = tmp_path / "bad.json"
+    for text in (
+        '{"n_states": 2, "n_actions": 1, "kernel": [[["a", 0.5], [0.5, 0.5]]], "reward": [[1.0], [0.0]]}',
+        '{"n_states": 2, "n_actions": 1, "kernel": [[[0.5, 0.5], [1.0]]], "reward": [[1.0], [0.0]]}',
+        "{not json",
+    ):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["solve-average", "--model", str(bad), "--out", str(tmp_path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,7 +92,22 @@ def test_risk_value_trivials(reference_model, reference_policy, hyperbolic):
         exact_risk_value(reference_model, reference_policy, hyperbolic, 0.0, 0, 5, 0)
 
 
-def test_risk_value_brute_force_small_horizon(reference_model, reference_policy, hyperbolic):
+def _enumerated_values(model, policy, schedule, gamma, k, n, x):
+    """Discounted and risk values by enumerating every path of length n."""
+    phi = schedule.phi_array(k, n)
+    slices = [policy.entry_at(k + j) if isinstance(policy, TimeVaryingPolicy) else policy for j in range(n)]
+    disc = risk = 0.0
+    for tail in itertools.product(range(model.n_states), repeat=n - 1):
+        path = (x,) + tail
+        acts = [u.actions[y] for u, y in zip(slices, path)]
+        prob = math.prod(model.kernel[a, y, z] for a, y, z in zip(acts, path, path[1:]))
+        tot = sum(p * model.reward[y, a] for p, y, a in zip(phi, path, acts))
+        disc += prob * tot
+        risk += prob * math.exp(gamma * tot)
+    return disc / phi.sum(), math.log(risk) / (gamma * phi.sum())
+
+
+def test_risk_value_brute_force_small_horizon(reference_model, reference_policy, two_action_model, hyperbolic):
     # oracle: enumerate all 2^2 paths of length 3 starting at state 0
     gamma = 0.9
     P = np.array([[0.75, 0.25], [0.5, 0.5]])
@@ -106,6 +122,26 @@ def test_risk_value_brute_force_small_horizon(reference_model, reference_policy,
     expected = math.log(acc) / (gamma * phi.sum())
     res = exact_risk_value(reference_model, reference_policy, hyperbolic, gamma, 0, 3, 0)
     assert res.value == pytest.approx(expected, abs=1e-13)
+    # both evaluators against enumeration; the window [1, 5) of the
+    # time-varying policy starts before its first slice and runs past its last
+    varying = TimeVaryingPolicy(2, [[0, 1], [1, 0]])
+    cases = [(varying, 1, 4), (varying, 2, 2), (varying, 0, 1), (StationaryPolicy([1, 0]), 3, 4)]
+    for policy, k, n in cases:
+        for gamma in (0.9, -2.5):
+            for x in range(2):
+                disc, risk = _enumerated_values(two_action_model, policy, hyperbolic, gamma, k, n, x)
+                res = exact_discounted_value(two_action_model, policy, hyperbolic, k, n, x)
+                assert res.value == pytest.approx(disc, abs=1e-13)
+                res = exact_risk_value(two_action_model, policy, hyperbolic, gamma, k, n, x)
+                assert res.value == pytest.approx(risk, abs=1e-13)
+
+
+def test_random_policy_panel_follows_the_seed(two_action_model):
+    panel = random_policy_panel(two_action_model, n_slices=7, size=3, seed=5, start=2)
+    rng = np.random.default_rng(5)
+    for policy in panel:
+        assert policy.start == 2
+        assert np.array_equal(policy.table, rng.integers(0, 2, size=(7, 2)))
 
 
 def test_risk_value_converges_to_perron(reference_model, reference_policy, unit):

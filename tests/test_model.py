@@ -14,6 +14,7 @@ from longrun import (
     density_bounds,
     equivalence_constant,
     ergodicity_coefficient,
+    exact_discounted_value,
     phi_partial_sum,
     risk_contraction_margin,
     span_seminorm,
@@ -57,16 +58,23 @@ def test_policy_bounds_checked(reference_model):
         StationaryPolicy([0, 5]).check_against(reference_model)
     with pytest.raises(InvalidModel):
         StationaryPolicy([0]).check_against(reference_model)
+    with pytest.raises(InvalidModel):
+        TimeVaryingPolicy(0, [[0, 0], [0]])
+    with pytest.raises(InvalidModel):
+        TimeVaryingPolicy(0, [[0, -1]])
+    # the second slice plays an action the one-action model does not have
+    with pytest.raises(InvalidModel):
+        exact_discounted_value(reference_model, TimeVaryingPolicy(0, [[0, 0], [0, 1]]), UnitSchedule(), 0, 2, 0)
 
 
 def test_time_varying_policy_clamps():
     a = StationaryPolicy([0, 0])
     b = StationaryPolicy([1, 1])
     pol = TimeVaryingPolicy(3, [a, b])
-    assert pol.entry_at(0) is a
-    assert pol.entry_at(3) is a
-    assert pol.entry_at(4) is b
-    assert pol.entry_at(99) is b
+    assert pol.entry_at(0) == a
+    assert pol.entry_at(3) == a
+    assert pol.entry_at(4) == b
+    assert pol.entry_at(99) == b
 
 
 def test_under_policy_freezes_kernel(two_action_model):
