@@ -19,7 +19,6 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
-    ergodicity_coefficient,
     span_seminorm,
 )
 
@@ -77,7 +76,7 @@ def relative_value_iteration(
     """
     if tol <= 0:
         raise InvalidModel("tolerance must be positive")
-    delta = ergodicity_coefficient(model)
+    delta = model.ergodicity
     if delta >= 1.0:
         raise NotErgodic(f"ergodicity coefficient is {delta}; need < 1")
     if not 0 <= anchor < model.n_states:
@@ -124,8 +123,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 def invariant_measure(model: Model, policy: StationaryPolicy) -> np.ndarray:
     """Invariant measure of the chain controlled by a stationary policy."""
     P = model.policy_kernel(policy)
-    sub = model.under_policy(policy)
-    if ergodicity_coefficient(sub) >= 1.0:
+    if model.under_policy(policy).ergodicity >= 1.0:
         raise NotErgodic("policy kernel has ergodicity coefficient >= 1")
     return stationary_distribution(P)
 
@@ -179,7 +177,7 @@ def policy_enumeration_oracle(model: Model, max_policies: int = 1_000_000):
 
 def default_window(model: Model, tol: float) -> int:
     """Window length making the terminal-truncation error at most tol."""
-    delta = ergodicity_coefficient(model)
+    delta = model.ergodicity
     span_c = model.reward_span()
     if delta <= 0.0 or span_c == 0.0:
         return 1
@@ -205,7 +203,7 @@ def time_extended_solve(
     shifted to min 0.  The terminal truncation contributes at most
     delta^N * span(c) / (1 - delta) in span at the first slice.
     """
-    delta = ergodicity_coefficient(model)
+    delta = model.ergodicity
     if delta >= 1.0:
         raise NotErgodic(f"ergodicity coefficient is {delta}; need < 1")
     if n_slices is None:

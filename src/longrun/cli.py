@@ -29,7 +29,6 @@ from .model import (
     StationaryPolicy,
     UnitSchedule,
     density_bounds,
-    ergodicity_coefficient,
     load_model,
     model_to_dict,
     schedule_from_dict,
@@ -178,7 +177,7 @@ def _write_csv(out_dir: str, name: str, header, rows) -> str:
 
 
 def _span_solution_lines(sol: average_solver.SpanSolution, model: Model) -> list:
-    delta = ergodicity_coefficient(model)
+    delta = model.ergodicity
     span_bound = model.reward_span() / (1.0 - delta) if delta < 1.0 else math.inf
     return [
         f"lambda: {_fmt(sol.lam)}",

@@ -178,6 +178,8 @@ def simulate(
     if gamma == 0.0:
         raise GammaNotAllowed("risk estimate needs gamma != 0")
     phi, norm, actions, c = _window(model, policy, schedule, k, n)
+    if not 0 <= x0 < model.n_states:
+        raise InvalidModel("start state out of range")
     cum = model.kernel.cumsum(axis=2)
     weighted = np.empty(reps)
     for r in range(reps):

@@ -29,7 +29,6 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
-    ergodicity_coefficient,
     phi_partial_sum,
 )
 from .average_solver import stationary_distribution
@@ -52,7 +51,7 @@ def _as_chain(P) -> Model:
 
 def _require_ergodic(P) -> np.ndarray:
     chain = _as_chain(P)
-    if ergodicity_coefficient(chain) >= 1.0:
+    if chain.ergodicity >= 1.0:
         raise NotErgodic("kernel has ergodicity coefficient >= 1")
     return chain.kernel[0]
 

@@ -11,6 +11,7 @@ certificates downstream.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +41,9 @@ class Model:
     kernel has shape (n_actions, n_states, n_states): kernel[a, x, y] is the
     probability of moving from x to y under action a.  reward has shape
     (n_states, n_actions).  Instances are immutable (arrays are marked
-    read-only) and safe to share between concurrent solvers.
+    read-only) and safe to share between concurrent solvers.  The exact
+    ergodicity coefficient is computed once per instance, on first read of
+    `ergodicity`, and lives as long as the instance.
     """
 
     kernel: np.ndarray
@@ -80,6 +83,11 @@ class Model:
     def n_actions(self) -> int:
         return self.kernel.shape[0]
 
+    @functools.cached_property
+    def ergodicity(self) -> float:
+        """ergodicity_coefficient(self), computed on first read."""
+        return ergodicity_coefficient(self)
+
     def reward_span(self) -> float:
         """max - min of the reward table over all state/action pairs."""
         return float(self.reward.max() - self.reward.min())
@@ -95,7 +103,14 @@ class Model:
         return self.reward[np.arange(self.n_states), u]
 
     def under_policy(self, policy: "StationaryPolicy") -> "Model":
-        """The single-action model obtained by freezing a stationary policy."""
+        """The single-action model obtained by freezing a stationary policy.
+
+        A single-action model is its own frozen model and is returned as is,
+        so its cached ergodicity coefficient is reused.
+        """
+        if self.n_actions == 1:
+            policy.check_against(self)
+            return self
         return Model(self.policy_kernel(policy)[None, :, :], self.policy_reward(policy)[:, None])
 
 
@@ -385,16 +400,25 @@ def ergodicity_coefficient(model: Model) -> float:
 
     The maximum runs over all state/action row pairs, including pairs that
     mix different actions.  The value is always in [0, 1]; callers that need
-    the uniform ergodicity condition must test for < 1 themselves.
+    the uniform ergodicity condition must test for < 1 themselves.  Solvers
+    read the per-instance cached value Model.ergodicity instead.
     """
     rows = model.kernel.reshape(-1, model.n_states)
+    n, s = rows.shape
+    # one reused buffer of about 2**17 entries holds the pairwise differences
+    # of a block of rows; each pair sum stays one contiguous length-s
+    # reduction, so the value does not depend on the block size
+    chunk = min(n, max(1, 2**17 // (n * s)))
+    diff = np.empty((chunk, n, s))
+    sums = np.empty((chunk, n))
     best = 0.0
-    # chunk the pairwise difference tensor so large models stay in memory
-    chunk = max(1, int(2_000_000 // (rows.shape[0] * model.n_states + 1)))
-    for lo in range(0, rows.shape[0], chunk):
-        diff = rows[lo : lo + chunk, None, :] - rows[None, :, :]
-        np.clip(diff, 0.0, None, out=diff)
-        best = max(best, float(diff.sum(axis=2).max()))
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        d, t = diff[:m], sums[:m]
+        np.subtract(rows[lo : lo + m, None, :], rows[None, :, :], out=d)
+        np.maximum(d, 0.0, out=d)
+        np.add.reduce(d, axis=2, out=t)
+        best = max(best, float(t.max()))
     return best
 
 
@@ -443,12 +467,13 @@ def equivalence_constant(model: Model) -> float:
 
 
 def risk_contraction_margin(model: Model, gamma: float) -> float:
-    """exp(span of gamma-scaled reward) times the ergodicity coefficient.
+    """exp(span of gamma-scaled reward) times the model's cached ergodicity
+    coefficient (Model.ergodicity).
 
     Values below 1 certify that risk-sensitive span iteration stays bounded;
     the caller tests the threshold.
     """
-    return math.exp(abs(gamma) * model.reward_span()) * ergodicity_coefficient(model)
+    return math.exp(abs(gamma) * model.reward_span()) * model.ergodicity
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .model import (
     Model,
     StationaryPolicy,
     equivalence_constant,
-    ergodicity_coefficient,
     risk_contraction_margin,
     span_seminorm,
 )
@@ -161,7 +160,7 @@ def risk_relative_value_iteration(
     gamma = _check_gamma(gamma)
     if tol <= 0:
         raise InvalidModel("tolerance must be positive")
-    if ergodicity_coefficient(model) >= 1.0:
+    if model.ergodicity >= 1.0:
         raise NotErgodic("ergodicity coefficient >= 1")
     if not 0 <= anchor < model.n_states:
         raise InvalidModel("anchor state out of range")
@@ -222,8 +221,7 @@ def perron_oracle(
     at or below 1.  Independent of the log-space span iteration.
     """
     gamma = _check_gamma(gamma)
-    sub = model.under_policy(policy)
-    if ergodicity_coefficient(sub) >= 1.0:
+    if model.under_policy(policy).ergodicity >= 1.0:
         raise NotErgodic("policy kernel has ergodicity coefficient >= 1")
     P = model.policy_kernel(policy)
     c = model.policy_reward(policy)
@@ -258,7 +256,7 @@ def risk_time_extended_solve(
     first slice's residual is at most tol).
     """
     gamma = _check_gamma(gamma)
-    if ergodicity_coefficient(model) >= 1.0:
+    if model.ergodicity >= 1.0:
         raise NotErgodic("ergodicity coefficient >= 1")
     if n_slices < 1:
         raise InvalidModel("window must contain at least one slice")
@@ -308,13 +306,16 @@ def gamma_sweep(model: Model, policy: StationaryPolicy, gammas, tol: float = 1e-
 
     Returns rows sorted by gamma, including a gamma = 0 row computed from
     the additive Poisson equation (the small-risk limit).  The gains are
-    nondecreasing in gamma.
+    nondecreasing in gamma.  Every row solves on one frozen single-action
+    model, so its ergodicity coefficient is computed once per sweep.
     """
+    sub = model.under_policy(policy)
+    zero_policy = StationaryPolicy([0] * sub.n_states)
     rows = []
-    avg: SpanSolution = poisson_solve(model, policy, tol=tol)
+    avg: SpanSolution = poisson_solve(sub, zero_policy, tol=tol)
     rows.append(SweepRow(gamma=0.0, lam=avg.lam, certificate="", residual=avg.span_residual))
     for gamma in gammas:
-        sol = multiplicative_poisson_solve(model, policy, gamma, tol=tol)
+        sol = multiplicative_poisson_solve(sub, zero_policy, gamma, tol=tol)
         rows.append(SweepRow(gamma=sol.gamma, lam=sol.lam, certificate=sol.certificate, residual=sol.residual))
     rows.sort(key=lambda r: r.gamma)
     return rows

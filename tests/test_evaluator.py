@@ -7,6 +7,7 @@ import pytest
 from longrun import (
     CheckFailed,
     GammaNotAllowed,
+    InvalidModel,
     Model,
     StationaryPolicy,
     TimeVaryingPolicy,
@@ -182,6 +183,16 @@ def test_simulate_single_rep_single_step(reference_model, reference_policy, hype
     sim = simulate(reference_model, reference_policy, hyperbolic, 0, 1, 0, seed=5, reps=1)
     assert sim.discounted_estimate == pytest.approx(1.0)
     assert sim.risk_estimate == pytest.approx(1.0)
+
+
+def test_simulate_rejects_start_state_out_of_range(hyperbolic):
+    from conftest import random_model
+
+    m = random_model(0)
+    u = StationaryPolicy([0, 1, 0])
+    for x0 in (3, -1):
+        with pytest.raises(InvalidModel, match="start state out of range"):
+            simulate(m, u, hyperbolic, 0, 5, x0, seed=1, reps=2)
 
 
 def test_simulate_deterministic(reference_model, reference_policy, hyperbolic):

@@ -15,11 +15,14 @@ from longrun import (
     equivalence_constant,
     ergodicity_coefficient,
     exact_discounted_value,
+    gamma_sweep,
     phi_partial_sum,
     risk_contraction_margin,
     span_seminorm,
     validate_schedule,
 )
+import longrun.model
+from longrun.cli import gen_model, main
 from longrun.model import load_model, model_from_dict, model_to_dict, save_model, schedule_from_dict
 
 from conftest import random_model
@@ -86,6 +89,14 @@ def test_under_policy_freezes_kernel(two_action_model):
     assert np.allclose(sub.reward[:, 0], [1.2, 0.0])
 
 
+def test_under_policy_of_single_action_model_is_itself(reference_model):
+    assert reference_model.under_policy(StationaryPolicy([0, 0])) is reference_model
+    with pytest.raises(InvalidModel):
+        reference_model.under_policy(StationaryPolicy([0, 1]))
+    with pytest.raises(InvalidModel):
+        reference_model.under_policy(StationaryPolicy([0]))
+
+
 # ------------------------------------------------------- structural constants
 
 
@@ -128,6 +139,55 @@ def test_ergodicity_coefficient_brute_force():
             for j in range(rows.shape[0]):
                 best = max(best, np.clip(rows[i] - rows[j], 0.0, None).sum())
         assert ergodicity_coefficient(m) == pytest.approx(best, abs=1e-14)
+
+
+def test_ergodicity_coefficient_bitwise_matches_pair_loop():
+    # the row pairs are computed in blocks of one reused buffer; the 40x4
+    # (160 rows) and 70x3 (210 rows, last block partial) models need several
+    # blocks, and every pair sum must equal the plain per-pair sum exactly
+    models = [
+        gen_model({"n_states": 40, "n_actions": 4, "min_entry": 0.001, "seed": 5}),
+        gen_model({"n_states": 70, "n_actions": 3, "min_entry": 0.001, "seed": 6}),
+        gen_model({"n_states": 9, "n_actions": 1, "min_entry": 0.01, "seed": 7}),
+        Model(np.ones((1, 1, 1)), np.zeros((1, 1))),
+    ]
+    for m in models:
+        rows = m.kernel.reshape(-1, m.n_states)
+        best = 0.0
+        for i in range(rows.shape[0]):
+            for j in range(rows.shape[0]):
+                best = max(best, float(np.clip(rows[i] - rows[j], 0, None).sum()))
+        assert ergodicity_coefficient(m) == best
+        assert m.ergodicity == best
+
+
+@pytest.fixture
+def coefficient_calls(monkeypatch):
+    calls = []
+    original = longrun.model.ergodicity_coefficient
+
+    def counting(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(longrun.model, "ergodicity_coefficient", counting)
+    return calls
+
+
+def test_solve_average_computes_the_coefficient_once(tmp_path, coefficient_calls):
+    assert main(["gen-model", "--states", "6", "--actions", "3", "--min-entry", "0.02",
+                 "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert main(["solve-average", "--model", str(tmp_path / "model.json"), "--schedule", "hyperbolic:1,1",
+                 "--out", str(tmp_path / "avg")]) == 0
+    assert len(coefficient_calls) == 1
+
+
+def test_gamma_sweep_computes_the_coefficient_once(coefficient_calls):
+    m = gen_model({"n_states": 5, "n_actions": 3, "min_entry": 0.02, "seed": 8})
+    rows = gamma_sweep(m, StationaryPolicy([2, 0, 1, 1, 0]), [-1.0, -0.5, 0.5, 1.0])
+    assert len(rows) == 5
+    assert len(coefficient_calls) == 1
+    assert coefficient_calls[0].n_actions == 1
 
 
 def test_density_bounds_uniform(uniform_model):
