@@ -4,13 +4,18 @@ equations, and the time-extended backward recursion for general discounting.
 All fixed points here live in span-seminorm equivalence classes; solutions
 pin a representative by shifting the relative value function to min 0 and
 read the optimal gain off the anchor state.
+
+Every solve here and in risk_solver, which passes its own sweep, runs on
+two drivers: _span_iterate (stationary equations) and _backward
+(time-extended recursions).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,6 +65,35 @@ def _bellman_values(model: Model, w: np.ndarray, phi: float = 1.0):
     return q.max(axis=0), q.argmax(axis=0)
 
 
+def _check_solver_inputs(model: Model, tol: float, anchor: int = 0) -> float:
+    """Preconditions shared by every solver; returns the ergodicity coefficient."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidModel(f"tolerance must be positive and finite, got {tol!r}")
+    delta = model.ergodicity
+    if delta >= 1.0:
+        raise NotErgodic(f"ergodicity coefficient is {delta}; need < 1")
+    if not 0 <= anchor < model.n_states:
+        raise InvalidModel("anchor state out of range")
+    return delta
+
+
+def _span_iterate(model: Model, sweep, threshold: float, max_iter: int):
+    """Iterate w <- sweep(w) - min until span(sweep(w) - w) <= threshold.
+
+    Returns (w, values, actions, iterations) of the sweep that met the
+    threshold, where values, actions = sweep(w).
+    """
+    w = np.zeros(model.n_states)
+    step = math.inf
+    for it in range(1, max_iter + 1):
+        values, actions = sweep(w)
+        step = span_seminorm(values - w)
+        if step <= threshold:
+            return w, values, actions, it
+        w = values - values.min()
+    raise NoConvergence(f"no convergence after {max_iter} iterations (residual span {step:.3e})")
+
+
 def relative_value_iteration(
     model: Model,
     tol: float = 1e-10,
@@ -74,31 +108,21 @@ def relative_value_iteration(
     of (Bellman(w) - w) after convergence and equals the optimal long-run
     average reward.
     """
-    if tol <= 0:
-        raise InvalidModel("tolerance must be positive")
-    delta = model.ergodicity
-    if delta >= 1.0:
-        raise NotErgodic(f"ergodicity coefficient is {delta}; need < 1")
-    if not 0 <= anchor < model.n_states:
-        raise InvalidModel("anchor state out of range")
+    delta = _check_solver_inputs(model, tol, anchor)
     # stopping on the step span certifies span distance <= tol to the fixed point
     threshold = tol * (1.0 - delta) / max(delta, 1e-300)
-    w = np.zeros(model.n_states)
-    for it in range(1, max_iter + 1):
-        vals, _ = _bellman_values(model, w)
-        step = span_seminorm(vals - w)
-        w = vals - vals.min()
-        if step <= threshold:
-            resid_vals, acts = _bellman_values(model, w)
-            resid = resid_vals - w
-            return SpanSolution(
-                w=w,
-                lam=float(resid[anchor]),
-                span_residual=span_seminorm(resid),
-                iterations=it,
-                policy=StationaryPolicy(acts),
-            )
-    raise NoConvergence(f"no convergence after {max_iter} iterations (last step span {step:.3e})")
+    sweep = functools.partial(_bellman_values, model)
+    _, values, _, iterations = _span_iterate(model, sweep, threshold, max_iter)
+    w = values - values.min()
+    resid_vals, acts = sweep(w)
+    resid = resid_vals - w
+    return SpanSolution(
+        w=w,
+        lam=float(resid[anchor]),
+        span_residual=span_seminorm(resid),
+        iterations=iterations,
+        policy=StationaryPolicy(acts),
+    )
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -140,19 +164,13 @@ def poisson_solve(model: Model, policy: StationaryPolicy, tol: float = 1e-10) ->
     # the fixed 1e-9 cross-check needs the iterated gain at ~2x that accuracy
     eff_tol = min(tol, _GAIN_CROSS_CHECK / 4.0)
     sol = relative_value_iteration(sub, tol=eff_tol)
-    mu = invariant_measure(model, policy)
-    lam_direct = float(mu @ model.policy_reward(policy))
+    # the iteration above already required sub to be ergodic
+    lam_direct = float(stationary_distribution(sub.kernel[0]) @ sub.reward[:, 0])
     if abs(sol.lam - lam_direct) > _GAIN_CROSS_CHECK:
         raise NoConvergence(
             f"iterated gain {sol.lam!r} disagrees with invariant-measure gain {lam_direct!r}"
         )
-    return SpanSolution(
-        w=sol.w,
-        lam=sol.lam,
-        span_residual=sol.span_residual,
-        iterations=sol.iterations,
-        policy=policy,
-    )
+    return replace(sol, policy=policy)
 
 
 def policy_enumeration_oracle(model: Model, max_policies: int = 1_000_000):
@@ -187,6 +205,36 @@ def default_window(model: Model, tol: float) -> int:
     return max(1, math.ceil(math.log(target) / math.log(delta)))
 
 
+def _window(schedule: DiscountSchedule, k: int, n_slices: int) -> np.ndarray:
+    """phi over the solve window k .. k + n_slices - 1, checked to be positive."""
+    if n_slices < 1:
+        raise InvalidModel("window must contain at least one slice")
+    phi = schedule.phi_array(k, n_slices)
+    if (phi <= 0.0).any():
+        raise InvalidModel("schedule must be strictly positive over the window")
+    return phi
+
+
+def _backward(model: Model, sweep, phi: np.ndarray, pin):
+    """Backward recursion over the window from a zero terminal slice.
+
+    Slice j is sweep(next slice, phi[j]) minus its offset pin(values); the
+    recursion carries the pinned slice.  Returns (offsets, slices shifted
+    to min 0, actions), one row per slice.
+    """
+    n, s = phi.shape[0], model.n_states
+    offsets = np.empty(n)
+    w_grid = np.empty((n, s))
+    actions = np.empty((n, s), dtype=int)
+    w = np.zeros(s)
+    for j in range(n - 1, -1, -1):
+        values, actions[j] = sweep(w, phi[j])
+        offsets[j] = pin(values)
+        w = values - offsets[j]
+        w_grid[j] = w - w.min()
+    return offsets, w_grid, actions
+
+
 def time_extended_solve(
     model: Model,
     schedule: DiscountSchedule,
@@ -203,36 +251,18 @@ def time_extended_solve(
     shifted to min 0.  The terminal truncation contributes at most
     delta^N * span(c) / (1 - delta) in span at the first slice.
     """
-    delta = model.ergodicity
-    if delta >= 1.0:
-        raise NotErgodic(f"ergodicity coefficient is {delta}; need < 1")
+    delta = _check_solver_inputs(model, tol, anchor)
     if n_slices is None:
         n_slices = default_window(model, tol)
-    if n_slices < 1:
-        raise InvalidModel("window must contain at least one slice")
-    if not 0 <= anchor < model.n_states:
-        raise InvalidModel("anchor state out of range")
-    phi = schedule.phi_array(k, n_slices)
-    if (phi <= 0.0).any():
-        raise InvalidModel("schedule must be strictly positive over the window")
-    s = model.n_states
-    w_grid = np.empty((n_slices, s))
-    lambda_seq = np.empty(n_slices)
-    policy_seq = np.empty((n_slices, s), dtype=int)
-    w_next = np.zeros(s)
-    for j in range(n_slices - 1, -1, -1):
-        vals, acts = _bellman_values(model, w_next, phi=phi[j])
-        lambda_seq[j] = vals[anchor] / phi[j]
-        w_anchor = vals - vals[anchor]
-        w_grid[j] = w_anchor - w_anchor.min()
-        policy_seq[j] = acts
-        w_next = w_anchor
-    span_c = model.reward_span()
-    trunc = (delta ** n_slices) * span_c / (1.0 - delta)
+    phi = _window(schedule, k, n_slices)
+    offsets, w_grid, policy_seq = _backward(
+        model, functools.partial(_bellman_values, model), phi, lambda v: v[anchor]
+    )
+    trunc = (delta ** n_slices) * model.reward_span() / (1.0 - delta)
     return TimeExtendedSolution(
         start=k,
         w_grid=w_grid,
-        lambda_seq=lambda_seq,
+        lambda_seq=offsets / phi,
         policy_seq=policy_seq,
         truncation_bound=float(trunc),
     )

@@ -64,6 +64,13 @@ class ExperimentConfig:
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
+# numeric configuration fields and their value type; [t] is a list of t
+_NUMERIC_FIELDS = {
+    "gamma": float, "epsilon": float, "tol": float, "kappa": float,
+    "k": int, "x": int, "horizon": int, "seed": int, "panel_size": int, "reps": int, "window": int,
+    "gammas": [float], "f": [float], "horizons": [int], "n_grid": [int],
+}
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -112,6 +119,28 @@ def _load_config_mapping(data: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
     return data
+
+
+def _check_numeric_fields(values: dict) -> None:
+    """Raise ConfigError for a numeric field, or a list item, of another type.
+
+    A field whose default is None may also be null.
+    """
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for name, kind in _NUMERIC_FIELDS.items():
+        if name not in values or (values[name] is None and defaults[name] is None):
+            continue
+        items = values[name]
+        if isinstance(kind, list):
+            if not isinstance(items, list):
+                raise ConfigError(f"{name} must be a list, got {items!r}")
+            kind = kind[0]
+        else:
+            items = [items]
+        allowed = int if kind is int else (int, float)
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, allowed):
+                raise ConfigError(f"{name} takes {kind.__name__} values, got {item!r}")
 
 
 def _resolve_model(cfg: ExperimentConfig) -> Model:
@@ -534,6 +563,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad config JSON: {exc}") from exc
         # configuration files are the reproducible record: they win over flags
         values.update(_load_config_mapping(data))
+    _check_numeric_fields(values)
     return ExperimentConfig(**{k: v for k, v in values.items() if k in _CONFIG_FIELDS})
 
 

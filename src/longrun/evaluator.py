@@ -220,6 +220,9 @@ def simulate(
 
 def random_policy_panel(model: Model, n_slices: int, size: int, seed: int, start: int = 0) -> list:
     """Seeded panel of time-varying policies, uniform over per-slice actions."""
+    if size < 1:
+        # a check over an empty panel would pass without comparing anything
+        raise InvalidModel(f"policy panel needs at least one policy, got {size}")
     rng = np.random.default_rng(seed)
     panel = []
     for _ in range(size):

@@ -4,19 +4,20 @@ the gamma sweep connecting the risk-sensitive gain to the average reward.
 
 The multiplicative equations are always iterated on their logarithmic
 transform with shifted exponentials, so reward scales that would overflow
-exp() directly remain solvable.
+exp() directly remain solvable.  The log-space sweep runs through the
+span-iteration and backward drivers of average_solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     GammaNotAllowed,
-    InvalidModel,
     KernelsNotEquivalent,
     MarginNotSatisfied,
     NoConvergence,
@@ -30,7 +31,7 @@ from .model import (
     risk_contraction_margin,
     span_seminorm,
 )
-from .average_solver import SpanSolution, poisson_solve
+from .average_solver import SpanSolution, _backward, _check_solver_inputs, _span_iterate, _window, poisson_solve
 
 GAMMA_FLOOR = 1e-8
 
@@ -158,30 +159,21 @@ def risk_relative_value_iteration(
     through the same code path.
     """
     gamma = _check_gamma(gamma)
-    if tol <= 0:
-        raise InvalidModel("tolerance must be positive")
-    if model.ergodicity >= 1.0:
-        raise NotErgodic("ergodicity coefficient >= 1")
-    if not 0 <= anchor < model.n_states:
-        raise InvalidModel("anchor state out of range")
+    _check_solver_inputs(model, tol, anchor)
     cert, bound = certificate_for(model, gamma)
-    w = np.zeros(model.n_states)
-    for it in range(1, max_iter + 1):
-        vals, acts = _risk_values(model, gamma, w)
-        resid = vals - w
-        if span_seminorm(resid) <= tol:
-            return RiskSolution(
-                gamma=gamma,
-                w=w,
-                lam=float(resid[anchor]) / gamma,
-                residual=span_seminorm(resid),
-                iterations=it,
-                policy=StationaryPolicy(acts),
-                certificate=cert,
-                bound=bound,
-            )
-        w = vals - vals.min()
-    raise NoConvergence(f"no convergence after {max_iter} iterations (residual span {span_seminorm(resid):.3e})")
+    sweep = functools.partial(_risk_values, model, gamma)
+    w, values, actions, iterations = _span_iterate(model, sweep, tol, max_iter)
+    resid = values - w
+    return RiskSolution(
+        gamma=gamma,
+        w=w,
+        lam=float(resid[anchor]) / gamma,
+        residual=span_seminorm(resid),
+        iterations=iterations,
+        policy=StationaryPolicy(actions),
+        certificate=cert,
+        bound=bound,
+    )
 
 
 def multiplicative_poisson_solve(
@@ -194,16 +186,7 @@ def multiplicative_poisson_solve(
     """Solve the multiplicative Poisson equation for a fixed stationary policy."""
     sub = model.under_policy(policy)
     sol = risk_relative_value_iteration(sub, gamma, tol=tol, max_iter=max_iter)
-    return RiskSolution(
-        gamma=sol.gamma,
-        w=sol.w,
-        lam=sol.lam,
-        residual=sol.residual,
-        iterations=sol.iterations,
-        policy=policy,
-        certificate=sol.certificate,
-        bound=sol.bound,
-    )
+    return replace(sol, policy=policy)
 
 
 def perron_oracle(
@@ -256,35 +239,17 @@ def risk_time_extended_solve(
     first slice's residual is at most tol).
     """
     gamma = _check_gamma(gamma)
-    if model.ergodicity >= 1.0:
-        raise NotErgodic("ergodicity coefficient >= 1")
-    if n_slices < 1:
-        raise InvalidModel("window must contain at least one slice")
-    phi = schedule.phi_array(k, n_slices)
-    if (phi <= 0.0).any():
-        raise InvalidModel("schedule must be strictly positive over the window")
+    _check_solver_inputs(model, tol)
+    phi = _window(schedule, k, n_slices)
     cert, bound = certificate_for(model, gamma)
-    s = model.n_states
-    w_grid = np.empty((n_slices, s))
-    lambda_seq = np.empty(n_slices)
-    policy_seq = np.empty((n_slices, s), dtype=int)
-    w_next = np.zeros(s)
-    for j in range(n_slices - 1, -1, -1):
-        vals, acts = _risk_values(model, gamma, w_next, phi=phi[j])
-        m = vals.min()
-        lambda_seq[j] = m / (gamma * phi[j])
-        w_next = vals - m
-        w_grid[j] = w_next
-        policy_seq[j] = acts
-    resid = np.empty(n_slices)
-    for j in range(n_slices):
-        nxt = w_grid[j + 1] if j + 1 < n_slices else np.zeros(s)
-        resid[j] = span_seminorm(w_grid[j] - nxt)
+    offsets, w_grid, policy_seq = _backward(model, functools.partial(_risk_values, model, gamma), phi, np.min)
+    # span of each slice minus the next one (the zero terminal slice after the last)
+    resid = np.ptp(w_grid - np.vstack((w_grid[1:], np.zeros_like(w_grid[0]))), axis=1)
     return RiskTimeExtendedSolution(
         start=k,
         gamma=gamma,
         w_grid=w_grid,
-        lambda_seq=lambda_seq,
+        lambda_seq=offsets / (gamma * phi),
         policy_seq=policy_seq,
         slice_residuals=resid,
         converged=bool(resid[0] <= tol),

@@ -3,6 +3,7 @@ import pytest
 
 from longrun import (
     EnumerationTooLarge,
+    InvalidModel,
     Model,
     NotErgodic,
     StationaryPolicy,
@@ -229,6 +230,12 @@ def test_time_extended_slices_are_min_zero(hyperbolic):
 def test_time_extended_default_window(reference_model):
     ext = time_extended_solve(reference_model, UnitSchedule(), k=0, tol=1e-8)
     assert ext.truncation_bound <= 1e-8
+    # the window is derived from tol, which must be a positive finite number
+    for tol in (0.0, -1e-8, float("nan"), float("inf")):
+        with pytest.raises(InvalidModel):
+            time_extended_solve(reference_model, UnitSchedule(), k=0, tol=tol)
+        with pytest.raises(InvalidModel):
+            relative_value_iteration(reference_model, tol=tol)
 
 
 def test_cesaro_values(reference_model, hyperbolic):

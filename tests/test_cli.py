@@ -68,7 +68,7 @@ def test_parse_schedule_arg():
         parse_schedule_arg("geometric:0.9")
 
 
-def test_malformed_config_exits_2(tmp_path, capsys):
+def test_malformed_config_exits_2(tmp_path, capsys, model_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json", encoding="utf-8")
     assert main(["verify", "--config", str(cfg)]) == 2
@@ -76,6 +76,22 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg)]) == 2
     for flag in ("--gammas=a,b", "--horizons=1,x"):
         assert main(["sweep-gamma", flag, "--out", str(tmp_path)]) == 2
+    out = ["--model", model_file, "--out", str(tmp_path / "o")]
+    for task in ("solve-average", "solve-risk"):
+        assert main([task, "--tol", "nan"] + out) == 2
+    # an empty panel would make the risk upper-bound check pass vacuously
+    for size in ("0", "-1"):
+        assert main(["verify", "--panel-size", size, "--horizons", "10"] + out) == 2
+    for task, doc in (
+        ("solve-risk", {"gamma": "abc"}),
+        ("solve-average", {"tol": "abc"}),
+        ("ldp-check", {"kappa": "z"}),
+        ("sweep-gamma", {"gammas": "a"}),
+        ("evaluate", {"horizons": ["x"]}),
+        ("solve-average", {"window": "abc", "schedule": {"family": "hyperbolic", "h": 1.0, "r": 1.0}}),
+    ):
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([task, "--config", str(cfg)] + out) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -17,6 +17,7 @@ from longrun import (
     exact_discounted_value,
     gamma_sweep,
     phi_partial_sum,
+    poisson_solve,
     risk_contraction_margin,
     span_seminorm,
     validate_schedule,
@@ -180,6 +181,13 @@ def test_solve_average_computes_the_coefficient_once(tmp_path, coefficient_calls
     assert main(["solve-average", "--model", str(tmp_path / "model.json"), "--schedule", "hyperbolic:1,1",
                  "--out", str(tmp_path / "avg")]) == 0
     assert len(coefficient_calls) == 1
+
+
+def test_poisson_solve_computes_the_coefficient_once(coefficient_calls):
+    m = gen_model({"n_states": 4, "n_actions": 3, "min_entry": 0.02, "seed": 8})
+    poisson_solve(m, StationaryPolicy([2, 0, 1, 1]))
+    assert len(coefficient_calls) == 1
+    assert coefficient_calls[0].n_actions == 1
 
 
 def test_gamma_sweep_computes_the_coefficient_once(coefficient_calls):

@@ -6,6 +6,7 @@ import pytest
 
 from longrun import (
     GammaNotAllowed,
+    InvalidModel,
     MarginNotSatisfied,
     Model,
     StationaryPolicy,
@@ -79,6 +80,12 @@ def test_gamma_floor_refused(reference_model):
         risk_relative_value_iteration(reference_model, 1e-9)
     with pytest.raises(GammaNotAllowed):
         risk_relative_value_iteration(reference_model, 0.0)
+    # a tolerance that is not a positive finite number is refused as well
+    for tol in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(InvalidModel):
+            risk_relative_value_iteration(reference_model, 1.0, tol=tol)
+        with pytest.raises(InvalidModel):
+            risk_time_extended_solve(reference_model, UnitSchedule(), 1.0, n_slices=5, tol=tol)
 
 
 def test_optimizer_beats_every_policy():
