@@ -2,10 +2,13 @@
 finite-horizon large-deviation upper bounds for a fixed Markov kernel.
 
 Everything here concerns a single uncontrolled chain P (typically a policy
-kernel).  The rate function is evaluated by multi-start concave maximization
-over log test functions; the deviation-probability bounds are verified
-exactly, by the exact risk evaluator for the exponential-martingale
-inequality and by full path enumeration for event probabilities.
+kernel).  The rate function is evaluated by one multi-start concave
+maximization over log test functions, which the deviation-set infimum also
+calls: at the band's two boundary points for two-state chains, inside an
+SLSQP search over each half-space otherwise.  The deviation-probability
+bounds are verified exactly, by the exact risk evaluator for the
+exponential-martingale inequality and by full path enumeration for event
+probabilities.  Each public function checks its kernel once.
 """
 
 from __future__ import annotations
@@ -150,6 +153,26 @@ def _grid_best_2(P: np.ndarray, nu: np.ndarray, hi: float, step: float = 1e-4) -
     return float(vals[j]), float(ts[j])
 
 
+def _rate_search(P: np.ndarray, nu: np.ndarray, hi: float = _LOG_BOX, restarts: int = 16, seed: int = 0) -> tuple:
+    """Seeded multi-start ascent of the rate objective over the box [0, hi]^s.
+
+    Runs on a checked kernel and returns (value, g, number of starts); for
+    two states an exhaustive grid over the one free coordinate, polished by
+    one more ascent, backs the ascent.
+    """
+    rng = np.random.default_rng(seed)
+    s = P.shape[0]
+    starts = [np.zeros(s)] + [rng.uniform(0.0, hi, size=s) for _ in range(max(restarts - 1, 0))]
+    best_val, best_g = _ascend(P, nu, hi, starts)
+    if s == 2:
+        grid_val, grid_t = _grid_best_2(P, nu, hi)
+        polish_val, polish_g = _ascend(P, nu, hi, [np.array([max(0.0, -grid_t), max(0.0, grid_t)])])
+        for val, g in ((grid_val, np.array([max(0.0, -grid_t), max(0.0, grid_t)])), (polish_val, polish_g)):
+            if g is not None and val > best_val:
+                best_val, best_g = val, g
+    return float(best_val), best_g, len(starts)
+
+
 def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int = 0) -> RateReport:
     """Donsker-Varadhan rate of nu against the kernel P.
 
@@ -168,17 +191,8 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     if d is not None and not d > 1.0:
         raise InvalidModel("ratio constraint d must exceed 1")
     hi = math.log(d) if d is not None else _LOG_BOX
-    rng = np.random.default_rng(seed)
-    s = P.shape[0]
-    starts = [np.zeros(s)] + [rng.uniform(0.0, hi, size=s) for _ in range(max(restarts - 1, 0))]
-    best_val, best_g = _ascend(P, nu, hi, starts)
-    if s == 2:
-        grid_val, grid_t = _grid_best_2(P, nu, hi)
-        polish_val, polish_g = _ascend(P, nu, hi, [np.array([max(0.0, -grid_t), max(0.0, grid_t)])])
-        for val, g in ((grid_val, np.array([max(0.0, -grid_t), max(0.0, grid_t)])), (polish_val, polish_g)):
-            if g is not None and val > best_val:
-                best_val, best_g = val, g
-    val, grad = _rate_objective(best_g, P, nu)
+    best_val, best_g, n_starts = _rate_search(P, nu, hi, restarts, seed)
+    _, grad = _rate_objective(best_g, P, nu)
     # projected gradient: components pushing outside the box do not count
     proj = grad.copy()
     proj[(best_g <= 0.0) & (grad < 0)] = 0.0
@@ -186,28 +200,13 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     grad_norm = float(np.abs(proj).max())
     return RateReport(
         nu=nu,
-        value=float(best_val),
+        value=best_val,
         maximizer=np.exp(best_g - best_g.min()),
         d_constraint=d,
-        restarts=len(starts),
+        restarts=n_starts,
         grad_norm=grad_norm,
         converged=grad_norm <= 1e-6,
     )
-
-
-def _rate_value_2(P: np.ndarray, logP: np.ndarray, nu0: float, hi: float = _LOG_BOX) -> float:
-    """Fast rate value for a 2-state kernel and nu = (nu0, 1 - nu0)."""
-    nu1 = 1.0 - nu0
-
-    def neg(t):
-        return -(
-            nu1 * t
-            - nu0 * np.logaddexp(logP[0, 0], logP[0, 1] + t)
-            - nu1 * np.logaddexp(logP[1, 0], logP[1, 1] + t)
-        )
-
-    res = optimize.minimize_scalar(neg, bounds=(-hi, hi), method="bounded", options={"xatol": 1e-12})
-    return max(0.0, float(-res.fun))
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +273,11 @@ def exact_event_probability(
     Full path enumeration with exact probability accumulation; guarded to
     n <= 20 in general and n <= 22 for two-state chains.
     """
-    P = _require_ergodic(P)
+    return _event_probability(_require_ergodic(P), schedule, k, n, f, kappa, x)
+
+
+def _event_probability(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int, f, kappa: float, x: int) -> float:
+    """exact_event_probability on a kernel that is already checked."""
     s = P.shape[0]
     if not (n <= 20 or (s == 2 and n <= 22)):
         raise EnumerationTooLarge(f"horizon {n} with {s} states exceeds the enumeration guard")
@@ -332,7 +335,7 @@ def ldp_upper_bound_check(
     rows = []
     for n in sorted(int(n) for n in n_grid):
         norm = phi_partial_sum(schedule, k, n)
-        q = max(exact_event_probability(Pm, schedule, k, n, f, kappa, x) for x in range(Pm.shape[0]))
+        q = max(_event_probability(Pm, schedule, k, n, f, kappa, x) for x in range(Pm.shape[0]))
         bound = d * math.exp(-kappa * norm)
         decay = math.log(q) / norm if q > 0.0 else -math.inf
         rows.append(
@@ -352,10 +355,11 @@ def ldp_upper_bound_check(
 def deviation_rate_infimum(P, cu, eps: float) -> float:
     """Infimum of the rate function over {nu : |nu.cu - mu.cu| >= eps}.
 
-    For two states the constrained set is at most two intervals of the
-    one-parameter family; a 1e-4 grid plus exact boundary evaluation finds
-    the infimum.  Larger chains minimize over each half-space with SLSQP
-    from several starts.  Raises EmptyDeviationSet when eps exceeds the
+    The rate is convex and zero at mu, so on each side of the band the
+    infimum lies on that side's boundary nu.cu = mu.cu +- eps.  For two
+    states that boundary is a single point, and its rate is the side's
+    infimum; larger chains minimize over each half-space with SLSQP from
+    several starts.  Raises EmptyDeviationSet when eps exceeds the
     achievable deviation, and the returned infimum is always positive.
     """
     P = _require_ergodic(P)
@@ -370,64 +374,50 @@ def deviation_rate_infimum(P, cu, eps: float) -> float:
     reach = max(float(cu.max()) - m, m - float(cu.min()))
     if eps > reach + 1e-15:
         raise EmptyDeviationSet(f"eps {eps} exceeds the achievable deviation {reach}")
-    if s == 2:
-        with np.errstate(divide="ignore"):
-            logP = np.log(P)
-        a, b = float(cu[0]), float(cu[1])
-        ts = np.arange(0.0, 1.0 + 5e-5, 1e-4)
-        means = ts * a + (1.0 - ts) * b
-        feasible = np.abs(means - m) >= eps
-        cand = list(ts[feasible])
-        # exact boundary points of the two intervals (the convex infimum
-        # sits there whenever they are attainable)
-        if a != b:
-            for target in (m + eps, m - eps):
-                t = (target - b) / (a - b)
-                if 0.0 <= t <= 1.0:
-                    cand.append(t)
-        if not cand:
-            raise EmptyDeviationSet("no feasible distribution at this eps")
-        best = min(_rate_value_2(P, logP, t) for t in cand)
-    else:
-        best = math.inf
-        rng = np.random.default_rng(0)
-        cons_eq = {"type": "eq", "fun": lambda v: v.sum() - 1.0, "jac": lambda v: np.ones(s)}
-        for sign in (1.0, -1.0):
-            side_reach = (float(cu.max()) - m) if sign > 0 else (m - float(cu.min()))
-            if eps > side_reach + 1e-15:
-                continue
-            cons_side = {
-                "type": "ineq",
-                "fun": lambda v, sg=sign: sg * (v @ cu - m) - eps,
-                "jac": lambda v, sg=sign: sg * cu,
-            }
-            starts = [mu.copy()] + [rng.dirichlet(np.ones(s)) for _ in range(5)]
-            vtx = int(np.argmax(sign * cu))
-            vertex = np.zeros(s)
-            vertex[vtx] = 1.0
-            starts.append(vertex)
+    best = math.inf
+    rng = np.random.default_rng(0)
+    cons_eq = {"type": "eq", "fun": lambda v: v.sum() - 1.0, "jac": lambda v: np.ones(s)}
 
-            def objective(v):
-                v = np.clip(v, 1e-12, None)
-                v = v / v.sum()
-                rep = rate_function(P, v, restarts=4, seed=1)
-                grad = np.log(rep.maximizer) - np.log(P @ rep.maximizer)
-                return rep.value, grad
+    def objective(v):
+        v = np.clip(v, 1e-12, None)
+        v = v / v.sum()
+        value, g, _ = _rate_search(P, v, restarts=4, seed=1)
+        f = np.exp(g - g.min())
+        return value, np.log(f) - np.log(P @ f)
 
-            for v0 in starts:
-                res = optimize.minimize(
-                    objective,
-                    v0,
-                    jac=True,
-                    method="SLSQP",
-                    bounds=[(0.0, 1.0)] * s,
-                    constraints=[cons_eq, cons_side],
-                    options={"maxiter": 200, "ftol": 1e-12},
-                )
-                if res.success and res.fun < best:
-                    best = float(res.fun)
-        if not math.isfinite(best):
-            raise EmptyDeviationSet("no feasible distribution at this eps")
+    for sign in (1.0, -1.0):
+        side_reach = (float(cu.max()) - m) if sign > 0 else (m - float(cu.min()))
+        if eps > side_reach + 1e-15:
+            continue
+        vertex = np.zeros(s)
+        vertex[int(np.argmax(sign * cu))] = 1.0
+        if s == 2:
+            # the side's one boundary point, on the segment from mu to the
+            # vertex where nu.cu = m + sign * eps; the vertex itself at reach
+            nu = vertex if eps >= side_reach else mu + eps / side_reach * (vertex - mu)
+            best = min(best, _rate_search(P, nu)[0])
+            continue
+        cons_side = {
+            "type": "ineq",
+            "fun": lambda v, sg=sign: sg * (v @ cu - m) - eps,
+            "jac": lambda v, sg=sign: sg * cu,
+        }
+        starts = [mu.copy()] + [rng.dirichlet(np.ones(s)) for _ in range(5)]
+        starts.append(vertex)
+        for v0 in starts:
+            res = optimize.minimize(
+                objective,
+                v0,
+                jac=True,
+                method="SLSQP",
+                bounds=[(0.0, 1.0)] * s,
+                constraints=[cons_eq, cons_side],
+                options={"maxiter": 200, "ftol": 1e-12},
+            )
+            if res.success and res.fun < best:
+                best = float(res.fun)
+    if not math.isfinite(best):
+        raise EmptyDeviationSet("no feasible distribution at this eps")
     if best <= 0.0:
         raise NoConvergence("rate infimum over the deviation set came out nonpositive")
     return float(best)

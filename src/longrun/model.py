@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,6 +179,17 @@ class TimeVaryingPolicy:
 # discount schedules
 
 
+def _finite_number(value, name: str) -> float:
+    """value as a float; InvalidModel unless it is a finite real number (not a bool)."""
+    try:
+        number = math.nan if isinstance(value, bool) or not isinstance(value, numbers.Real) else float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidModel(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
 class DiscountSchedule:
     """Sequence of weights phi(i) in [0, 1] applied to the reward at time i.
 
@@ -189,7 +201,8 @@ class DiscountSchedule:
     divergence_certified: bool = False
 
     def phi(self, i: int) -> float:
-        raise NotImplementedError
+        """phi(i), the same float as the matching entry of any phi_array."""
+        return float(self.phi_array(i, 1)[0])
 
     def phi_array(self, start: int, count: int) -> np.ndarray:
         """phi(start), ..., phi(start + count - 1) as a float array."""
@@ -215,19 +228,14 @@ class HyperbolicSchedule(DiscountSchedule):
     divergence_certified = True
 
     def __init__(self, h: float, r: float):
-        h = float(h)
-        r = float(r)
+        h = _finite_number(h, "hyperbolic schedule h")
+        r = _finite_number(r, "hyperbolic schedule r")
         if not (h > 0 and r > 0):
             raise InvalidModel("hyperbolic schedule needs h > 0 and r > 0")
         if r > h:
             raise InvalidModel("hyperbolic schedule needs r/h <= 1 for divergent partial sums")
         self.h = h
         self.r = r
-
-    def phi(self, i: int) -> float:
-        if i < 0:
-            raise InvalidModel("schedule index must be nonnegative")
-        return float((1.0 + self.h * i) ** (-self.r / self.h))
 
     def phi_array(self, start: int, count: int) -> np.ndarray:
         if start < 0 or count < 0:
@@ -247,20 +255,10 @@ class UnitSchedule(DiscountSchedule):
 
     divergence_certified = True
 
-    def phi(self, i: int) -> float:
-        if i < 0:
-            raise InvalidModel("schedule index must be nonnegative")
-        return 1.0
-
     def phi_array(self, start: int, count: int) -> np.ndarray:
         if start < 0 or count < 0:
             raise InvalidModel("schedule window must be nonnegative")
         return np.ones(count)
-
-    def partial_sum(self, start: int, count: int) -> float:
-        if count < 1:
-            raise InvalidModel("partial sum needs at least one term")
-        return float(count)
 
     def to_dict(self) -> dict:
         return {"family": "unit"}
@@ -279,24 +277,21 @@ class TabulatedSchedule(DiscountSchedule):
     """
 
     def __init__(self, values: Sequence[float], tail_divergent: bool = False):
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
+        try:
+            items = list(values)
+        except TypeError:
+            items = []
+        if not items:
             raise InvalidModel("tabulated schedule needs a nonempty 1-d value list")
-        if not np.isfinite(vals).all():
-            raise InvalidModel("tabulated schedule contains non-finite values")
+        vals = np.array([_finite_number(v, "tabulated schedule value") for v in items])
+        if not isinstance(tail_divergent, (bool, np.bool_)):
+            raise InvalidModel(f"tail_divergent must be true or false, got {tail_divergent!r}")
         self.values = _readonly(vals)
         self.tail_divergent = bool(tail_divergent)
 
     @property
     def divergence_certified(self) -> bool:
         return self.tail_divergent
-
-    def phi(self, i: int) -> float:
-        if i < 0:
-            raise InvalidModel("schedule index must be nonnegative")
-        if i >= self.values.size:
-            raise InvalidModel(f"tabulated schedule has no value at index {i} (table length {self.values.size})")
-        return float(self.values[i])
 
     def phi_array(self, start: int, count: int) -> np.ndarray:
         if start < 0 or count < 0:

@@ -92,6 +92,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
     ):
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         assert main([task, "--config", str(cfg)] + out) == 2
+    for schedule in (
+        {"family": "hyperbolic", "h": "a", "r": 1.0},
+        {"family": "hyperbolic", "h": None, "r": 1.0},
+        {"family": "hyperbolic", "h": float("inf"), "r": 1.0},
+        {"family": "hyperbolic", "h": True, "r": True},
+        {"family": "tabulated", "values": ["a"], "tail_divergent": True},
+        {"family": "tabulated", "values": [1.0, 0.5], "tail_divergent": "no"},
+    ):
+        cfg.write_text(json.dumps({"schedule": schedule}), encoding="utf-8")
+        for task in ("solve-average", "evaluate", "ldp-check"):
+            assert main([task, "--config", str(cfg)] + out) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -15,11 +15,14 @@ from longrun import (
     equivalence_constant,
     ergodicity_coefficient,
     exact_discounted_value,
+    deviation_rate_infimum,
     gamma_sweep,
+    ldp_upper_bound_check,
     phi_partial_sum,
     poisson_solve,
     risk_contraction_margin,
     span_seminorm,
+    stationary_distribution,
     validate_schedule,
 )
 import longrun.model
@@ -190,6 +193,17 @@ def test_poisson_solve_computes_the_coefficient_once(coefficient_calls):
     assert coefficient_calls[0].n_actions == 1
 
 
+def test_ldp_calls_compute_the_coefficient_once(coefficient_calls):
+    m = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": 7})
+    u = StationaryPolicy([0, 0, 0])
+    P, cu = m.policy_kernel(u), m.policy_reward(u)
+    mu = stationary_distribution(P)
+    deviation_rate_infimum(P, cu, 0.5 * max(cu.max() - mu @ cu, mu @ cu - cu.min()))
+    assert len(coefficient_calls) == 1
+    ldp_upper_bound_check(P, np.array([1.0, 1.5, 2.0]), 0.1, UnitSchedule(), 0, [4, 5])
+    assert len(coefficient_calls) == 2
+
+
 def test_gamma_sweep_computes_the_coefficient_once(coefficient_calls):
     m = gen_model({"n_states": 5, "n_actions": 3, "min_entry": 0.02, "seed": 8})
     rows = gamma_sweep(m, StationaryPolicy([2, 0, 1, 1, 0]), [-1.0, -0.5, 0.5, 1.0])
@@ -291,6 +305,28 @@ def test_hyperbolic_parameter_validation():
         HyperbolicSchedule(1.0, 1.5)
     with pytest.raises(InvalidModel):
         HyperbolicSchedule(-1.0, 0.5)
+    # parameters must be finite numbers, and a bool is not a number here
+    for h, r in (("a", 1.0), (None, 1.0), (float("inf"), 1.0), (float("nan"), 1.0), (True, True), (1.0, 10**400)):
+        with pytest.raises(InvalidModel):
+            HyperbolicSchedule(h, r)
+    for values, tail in ((["a"], True), ([1.0, None], True), ([True], True), ([1.0, float("inf")], True),
+                         ([], True), (1.0, True), ([1.0, 0.5], "no"), ([1.0, 0.5], 1)):
+        with pytest.raises(InvalidModel):
+            TabulatedSchedule(values, tail_divergent=tail)
+
+
+def test_phi_is_the_phi_array_entry_bitwise():
+    schedules = (
+        HyperbolicSchedule(2.0, 0.5),
+        HyperbolicSchedule(1.0, 0.3),
+        UnitSchedule(),
+        TabulatedSchedule(1.0 / np.sqrt(1.0 + np.arange(1000) / 3.0), tail_divergent=True),
+    )
+    for sched in schedules:
+        table = sched.phi_array(0, 1000)
+        assert all(sched.phi(i) == table[i] for i in range(1000))
+    with pytest.raises(InvalidModel):
+        UnitSchedule().phi(-1)
 
 
 def test_phi_partial_sum_examples(hyperbolic, unit):
