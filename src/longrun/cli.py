@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,15 +28,14 @@ from .model import (
     Model,
     StationaryPolicy,
     UnitSchedule,
+    _finite_number,
     density_bounds,
     load_model,
-    model_to_dict,
+    save_model,
     schedule_from_dict,
 )
 
-TASKS = ("solve-average", "solve-risk", "evaluate", "verify", "ldp-check", "sweep-gamma", "gen-model")
-
-_GENERATOR_FIELDS = {"n_states", "n_actions", "min_entry", "seed"}
+_DEFAULT_GAMMAS = (-1.0, -0.5, -0.1, 0.1, 0.5, 1.0)
 
 
 @dataclass
@@ -63,6 +62,7 @@ class ExperimentConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
+_NULLABLE_FIELDS = {f.name for f in fields(ExperimentConfig) if f.default is None}
 
 # numeric configuration fields and their value type; [t] is a list of t
 _NUMERIC_FIELDS = {
@@ -70,6 +70,32 @@ _NUMERIC_FIELDS = {
     "k": int, "x": int, "horizon": int, "seed": int, "panel_size": int, "reps": int, "window": int,
     "gammas": [float], "f": [float], "horizons": [int], "n_grid": [int],
 }
+
+# generator spec fields, all required, and their value type
+_GENERATOR_FIELDS = {"n_states": int, "n_actions": int, "min_entry": float, "seed": int}
+
+
+def _check_numeric_fields(values: dict, kinds: dict = _NUMERIC_FIELDS) -> None:
+    """Refuse a numeric field or list item of another type, a non-finite
+    float and a negative seed.  A field whose default is None may be null."""
+    for name, kind in kinds.items():
+        if name not in values or (values[name] is None and name in _NULLABLE_FIELDS):
+            continue
+        items = values[name]
+        if isinstance(kind, list):
+            if not isinstance(items, list):
+                raise ConfigError(f"{name} must be a list, got {items!r}")
+            kind = kind[0]
+        else:
+            items = [items]
+        allowed = int if kind is int else (int, float)
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, allowed):
+                raise ConfigError(f"{name} takes {kind.__name__} values, got {item!r}")
+            if kind is float:
+                _finite_number(item, name)
+            elif name == "seed" and item < 0:
+                raise ConfigError(f"seed must be nonnegative, got {item!r}")
 
 
 def _fmt(x) -> str:
@@ -87,60 +113,21 @@ def gen_model(spec: dict) -> Model:
     at least min_entry and rows sum to one exactly up to rounding; rewards
     are uniform on [0, 1].  Deterministic in the seed.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError("generator spec must be an object")
-    unknown = set(spec) - _GENERATOR_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown generator fields: {sorted(unknown)}")
-    missing = _GENERATOR_FIELDS - set(spec)
-    if missing:
-        raise ConfigError(f"missing generator fields: {sorted(missing)}")
-    s = int(spec["n_states"])
-    a = int(spec["n_actions"])
-    min_entry = float(spec["min_entry"])
-    seed = int(spec["seed"])
+    if not isinstance(spec, dict) or set(spec) != set(_GENERATOR_FIELDS):
+        raise ConfigError(f"generator spec needs exactly the fields {sorted(_GENERATOR_FIELDS)}, got {spec!r}")
+    _check_numeric_fields(spec, _GENERATOR_FIELDS)
+    s, a, min_entry = spec["n_states"], spec["n_actions"], spec["min_entry"]
     if s < 1 or a < 1:
         raise ConfigError("generator needs at least one state and one action")
     if not 0.0 < min_entry:
         raise ConfigError("min_entry must be positive to guarantee a density bound")
     if min_entry * s >= 1.0:
         raise ConfigError(f"min_entry {min_entry} infeasible for {s} states (needs min_entry * n_states < 1)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(spec["seed"])
     g = rng.random((a, s, s))
     kernel = min_entry + (1.0 - s * min_entry) * (g / g.sum(axis=2, keepdims=True))
     reward = rng.random((s, a))
     return Model(kernel, reward)
-
-
-def _load_config_mapping(data: dict) -> dict:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a JSON object")
-    unknown = set(data) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
-    return data
-
-
-def _check_numeric_fields(values: dict) -> None:
-    """Raise ConfigError for a numeric field, or a list item, of another type.
-
-    A field whose default is None may also be null.
-    """
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
-    for name, kind in _NUMERIC_FIELDS.items():
-        if name not in values or (values[name] is None and defaults[name] is None):
-            continue
-        items = values[name]
-        if isinstance(kind, list):
-            if not isinstance(items, list):
-                raise ConfigError(f"{name} must be a list, got {items!r}")
-            kind = kind[0]
-        else:
-            items = [items]
-        allowed = int if kind is int else (int, float)
-        for item in items:
-            if isinstance(item, bool) or not isinstance(item, allowed):
-                raise ConfigError(f"{name} takes {kind.__name__} values, got {item!r}")
 
 
 def _resolve_model(cfg: ExperimentConfig) -> Model:
@@ -157,8 +144,8 @@ def _resolve_model(cfg: ExperimentConfig) -> Model:
     if "path" in src and "generator" in src:
         raise ConfigError("model source must be either a path or a generator, not both")
     if "path" in src:
-        if not os.path.exists(src["path"]):
-            raise ConfigError(f"model file does not exist: {src['path']}")
+        if not isinstance(src["path"], str):  # an int would be read as an open file descriptor
+            raise ConfigError(f"model path must be a string, got {src['path']!r}")
         return load_model(src["path"])
     return gen_model(src["generator"])
 
@@ -205,10 +192,15 @@ def _write_csv(out_dir: str, name: str, header, rows) -> str:
     return _write_text(out_dir, name, lines)
 
 
-def _span_solution_lines(sol: average_solver.SpanSolution, model: Model) -> list:
-    delta = model.ergodicity
-    span_bound = model.reward_span() / (1.0 - delta) if delta < 1.0 else math.inf
-    return [
+def _task_solve_average(cfg: ExperimentConfig) -> int:
+    mdl = _resolve_model(cfg)
+    sol = average_solver.relative_value_iteration(mdl, tol=cfg.tol)
+    delta = mdl.ergodicity
+    span_bound = mdl.reward_span() / (1.0 - delta) if delta < 1.0 else math.inf
+    lines = [
+        "task: solve-average",
+        f"states: {mdl.n_states}",
+        f"actions: {mdl.n_actions}",
         f"lambda: {_fmt(sol.lam)}",
         f"w: {_vec(sol.w)}",
         f"policy: {list(sol.policy.actions)}",
@@ -216,12 +208,6 @@ def _span_solution_lines(sol: average_solver.SpanSolution, model: Model) -> list
         f"iterations: {sol.iterations}",
         f"bounds: span_w <= {_fmt(span_bound)}",
     ]
-
-
-def _task_solve_average(cfg: ExperimentConfig, mdl: Model) -> int:
-    sol = average_solver.relative_value_iteration(mdl, tol=cfg.tol)
-    lines = ["task: solve-average", f"states: {mdl.n_states}", f"actions: {mdl.n_actions}"]
-    lines += _span_solution_lines(sol, mdl)
     schedule = _resolve_schedule(cfg)
     if not isinstance(schedule, UnitSchedule):
         ext = average_solver.time_extended_solve(
@@ -243,7 +229,8 @@ def _task_solve_average(cfg: ExperimentConfig, mdl: Model) -> int:
     return 0
 
 
-def _task_solve_risk(cfg: ExperimentConfig, mdl: Model) -> int:
+def _task_solve_risk(cfg: ExperimentConfig) -> int:
+    mdl = _resolve_model(cfg)
     sol = risk_solver.risk_relative_value_iteration(mdl, cfg.gamma, tol=cfg.tol)
     lines = [
         "task: solve-risk",
@@ -262,7 +249,8 @@ def _task_solve_risk(cfg: ExperimentConfig, mdl: Model) -> int:
     return 0
 
 
-def _task_evaluate(cfg: ExperimentConfig, mdl: Model) -> int:
+def _task_evaluate(cfg: ExperimentConfig) -> int:
+    mdl = _resolve_model(cfg)
     schedule = _resolve_schedule(cfg)
     sol = average_solver.relative_value_iteration(mdl, tol=cfg.tol)
     horizons = cfg.horizons or [cfg.horizon]
@@ -270,19 +258,18 @@ def _task_evaluate(cfg: ExperimentConfig, mdl: Model) -> int:
     rows = []
     lines = ["task: evaluate", f"lambda: {_fmt(sol.lam)}", f"policy: {list(sol.policy.actions)}"]
     for n in horizons:
-        res = evaluator.exact_discounted_value(mdl, sol.policy, schedule, cfg.k, int(n), cfg.x)
+        res = evaluator.exact_discounted_value(mdl, sol.policy, schedule, cfg.k, n, cfg.x)
         # certified distance to the long-run gain for the solved policy
-        res = replace(res, bound_slack=2.0 * w_max / res.normalizer)
-        rows.append((int(n), res.value, res.bound_slack))
-        lines.append(f"J[{int(n)}]: {_fmt(res.value)} (gap_bound {_fmt(res.bound_slack)})")
+        gap_bound = 2.0 * w_max / res.normalizer
+        rows.append((n, res.value, gap_bound))
+        lines.append(f"J[{n}]: {_fmt(res.value)} (gap_bound {_fmt(gap_bound)})")
+    n = horizons[-1]
     if cfg.gamma:
-        n = int(horizons[-1])
         up = evaluator.exact_risk_value(mdl, sol.policy, schedule, abs(cfg.gamma), cfg.k, n, cfg.x)
         dn = evaluator.exact_risk_value(mdl, sol.policy, schedule, -abs(cfg.gamma), cfg.k, n, cfg.x)
         lines.append(f"risk_value[+gamma]: {_fmt(up.value)}")
         lines.append(f"risk_value[-gamma]: {_fmt(dn.value)}")
     if cfg.reps:
-        n = int(horizons[-1])
         sim = evaluator.simulate(
             mdl, sol.policy, schedule, cfg.k, n, cfg.x, seed=cfg.seed, reps=cfg.reps,
             gamma=cfg.gamma or 1.0,
@@ -294,13 +281,15 @@ def _task_evaluate(cfg: ExperimentConfig, mdl: Model) -> int:
     return 0
 
 
-def _default_f(n_states: int) -> np.ndarray:
-    f = np.ones(n_states)
-    f[0] = 2.0
-    return f
+def _ldp_inputs(cfg: ExperimentConfig, n_states: int) -> tuple:
+    """The deviation-bound check's f (default 2 on state 0, 1 elsewhere) and
+    n_grid (default 8 to 12)."""
+    f = np.asarray(cfg.f, dtype=float) if cfg.f else np.concatenate(([2.0], np.ones(n_states - 1)))
+    return f, cfg.n_grid or list(range(8, 13))
 
 
-def _task_verify(cfg: ExperimentConfig, mdl: Model) -> int:
+def _task_verify(cfg: ExperimentConfig) -> int:
+    mdl = _resolve_model(cfg)
     schedule = _resolve_schedule(cfg)
     horizons = cfg.horizons or [100, 1000]
     lines = [
@@ -321,6 +310,8 @@ def _task_verify(cfg: ExperimentConfig, mdl: Model) -> int:
             failures.append(name)
 
     sol = average_solver.relative_value_iteration(mdl, tol=cfg.tol)
+    P = mdl.policy_kernel(sol.policy)
+    mu = average_solver.stationary_distribution(P)
     gamma = abs(cfg.gamma) or 0.5
 
     def _avg():
@@ -331,20 +322,19 @@ def _task_verify(cfg: ExperimentConfig, mdl: Model) -> int:
         return f"lambda={_fmt(rep.context['lambda'])}, rows={len(rep.rows)}"
 
     def _risk():
-        n = int(horizons[-1])
+        n = horizons[-1]
         panel = evaluator.random_policy_panel(mdl, n_slices=n, size=cfg.panel_size, seed=cfg.seed + 1, start=cfg.k)
         rep = evaluator.risk_upper_bound_check(mdl, schedule, gamma, cfg.k, n, panel, x=cfg.x, tol=cfg.tol)
         return f"lambda_gamma={_fmt(rep.context['lambda_gamma'])}, policies={len(rep.rows)}"
 
     def _sandwich():
-        rep = evaluator.sandwich_check(mdl, sol.policy, schedule, gamma, cfg.k, min(50, int(horizons[-1])), cfg.x)
+        rep = evaluator.sandwich_check(mdl, sol.policy, schedule, gamma, cfg.k, min(50, horizons[-1]), cfg.x)
         return (
             f"{_fmt(rep.context['lower'])} <= {_fmt(rep.context['mid'])} <= {_fmt(rep.context['upper'])}"
         )
 
     def _sweep():
-        gammas = cfg.gammas or [-1.0, -0.5, -0.1, 0.1, 0.5, 1.0]
-        rows = risk_solver.gamma_sweep(mdl, sol.policy, gammas, tol=cfg.tol)
+        rows = risk_solver.gamma_sweep(mdl, sol.policy, cfg.gammas or _DEFAULT_GAMMAS, tol=cfg.tol)
         lams = [r.lam for r in rows]
         for a, b in zip(lams, lams[1:]):
             if b < a - 1e-10:
@@ -352,23 +342,17 @@ def _task_verify(cfg: ExperimentConfig, mdl: Model) -> int:
         return f"{len(rows)} rows, lambda range [{_fmt(lams[0])}, {_fmt(lams[-1])}]"
 
     def _ldp():
-        P = mdl.policy_kernel(sol.policy)
-        f = np.asarray(cfg.f, dtype=float) if cfg.f else _default_f(mdl.n_states)
-        n_grid = cfg.n_grid or list(range(8, 13))
+        f, n_grid = _ldp_inputs(cfg, mdl.n_states)
         rep = ldp.ldp_upper_bound_check(P, f, cfg.kappa, schedule, cfg.k, n_grid)
         return f"d={_fmt(rep.d)}, kappa={_fmt(rep.kappa)}, horizons={len(rep.rows)}"
 
     def _rate_zero():
-        P = mdl.policy_kernel(sol.policy)
-        mu = average_solver.stationary_distribution(P)
         rep = ldp.rate_function(P, mu, seed=cfg.seed)
         if rep.value > 1e-6:
             raise CheckFailed(f"rate at the invariant measure is {rep.value!r} > 1e-6")
         return f"I(mu)={_fmt(rep.value)}"
 
     def _rate_positive():
-        P = mdl.policy_kernel(sol.policy)
-        mu = average_solver.stationary_distribution(P)
         nu = mu.copy()
         hi = int(np.argmax(nu))
         lo = int(np.argmin(nu))
@@ -393,12 +377,12 @@ def _task_verify(cfg: ExperimentConfig, mdl: Model) -> int:
     return 0 if not failures else 1
 
 
-def _task_ldp_check(cfg: ExperimentConfig, mdl: Model) -> int:
+def _task_ldp_check(cfg: ExperimentConfig) -> int:
+    mdl = _resolve_model(cfg)
     schedule = _resolve_schedule(cfg)
     policy = StationaryPolicy([0] * mdl.n_states)
     P = mdl.policy_kernel(policy)
-    f = np.asarray(cfg.f, dtype=float) if cfg.f else _default_f(mdl.n_states)
-    n_grid = cfg.n_grid or list(range(8, 13))
+    f, n_grid = _ldp_inputs(cfg, mdl.n_states)
     status = 0
     try:
         rep = ldp.ldp_upper_bound_check(P, f, cfg.kappa, schedule, cfg.k, n_grid)
@@ -424,23 +408,24 @@ def _task_ldp_check(cfg: ExperimentConfig, mdl: Model) -> int:
     ]
     if cfg.gamma < 0:
         # negative risk factor requested: audit the near-optimality margin too
-        margin = ldp.near_optimality_margin(
-            mdl, policy, schedule, cfg.epsilon, cfg.gamma, cfg.k, cfg.horizon
-        )
+        try:
+            margin = ldp.near_optimality_margin(mdl, policy, schedule, cfg.epsilon, cfg.gamma, cfg.k, cfg.horizon)
+        except CheckFailed as exc:
+            margin = exc.report
+            status = 1
         lines.append(f"margin_lambda_u: {_fmt(margin.lam_u)}")
         lines.append(f"margin_rate_infimum: {_fmt(margin.rate_infimum)}")
         lines.append(f"margin_slack: {_fmt(margin.slack)}")
         lines.append(f"margin: {_fmt(margin.margin)}")
-        status = status or (0 if margin.passed else 1)
     lines.append(f"result: {'PASS' if status == 0 else 'FAIL'}")
     _write_text(cfg.out, "report.txt", lines)
     return status
 
 
-def _task_sweep_gamma(cfg: ExperimentConfig, mdl: Model) -> int:
+def _task_sweep_gamma(cfg: ExperimentConfig) -> int:
+    mdl = _resolve_model(cfg)
     sol = average_solver.relative_value_iteration(mdl, tol=cfg.tol)
-    gammas = cfg.gammas or [-1.0, -0.5, -0.1, 0.1, 0.5, 1.0]
-    rows = risk_solver.gamma_sweep(mdl, sol.policy, gammas, tol=cfg.tol)
+    rows = risk_solver.gamma_sweep(mdl, sol.policy, cfg.gammas or _DEFAULT_GAMMAS, tol=cfg.tol)
     _write_csv(
         cfg.out,
         "sweep.csv",
@@ -455,17 +440,12 @@ def _task_sweep_gamma(cfg: ExperimentConfig, mdl: Model) -> int:
 
 
 def _task_gen_model(cfg: ExperimentConfig) -> int:
-    src = cfg.model or {}
-    if isinstance(src, dict) and "generator" in src:
-        spec = src["generator"]
-    else:
+    if not (isinstance(cfg.model, dict) and "generator" in cfg.model):
         raise ConfigError("gen-model needs a generator spec")
-    mdl = gen_model(spec)
+    mdl = gen_model(cfg.model["generator"])
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "model.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(mdl), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_model(mdl, path)
     bounds = density_bounds(mdl)
     _write_text(
         cfg.out,
@@ -480,24 +460,33 @@ def _task_gen_model(cfg: ExperimentConfig) -> int:
     return 0
 
 
+_TASKS = {
+    "solve-average": _task_solve_average,
+    "solve-risk": _task_solve_risk,
+    "evaluate": _task_evaluate,
+    "verify": _task_verify,
+    "ldp-check": _task_ldp_check,
+    "sweep-gamma": _task_sweep_gamma,
+    "gen-model": _task_gen_model,
+}
+TASKS = tuple(_TASKS)
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one task; returns the process exit status."""
     if cfg.task not in TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}")
-    if cfg.task == "gen-model":
-        return _task_gen_model(cfg)
-    mdl = _resolve_model(cfg)
-    if cfg.task == "solve-average":
-        return _task_solve_average(cfg, mdl)
-    if cfg.task == "solve-risk":
-        return _task_solve_risk(cfg, mdl)
-    if cfg.task == "evaluate":
-        return _task_evaluate(cfg, mdl)
-    if cfg.task == "verify":
-        return _task_verify(cfg, mdl)
-    if cfg.task == "ldp-check":
-        return _task_ldp_check(cfg, mdl)
-    return _task_sweep_gamma(cfg, mdl)
+    return _TASKS[cfg.task](cfg)
+
+
+def _list_of(kind):
+    """argparse type of a comma-separated list of kind values."""
+
+    def parse(text: str) -> list:
+        return [kind(t) for t in text.split(",")]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -509,9 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", help="model JSON file")
         p.add_argument("--schedule", help="'unit', 'hyperbolic:H,R', or inline JSON")
         p.add_argument("--gamma", type=float)
-        p.add_argument("--gammas", help="comma-separated risk factors")
+        p.add_argument("--gammas", type=_list_of(float), help="comma-separated risk factors")
         p.add_argument("--horizon", type=int)
-        p.add_argument("--horizons", help="comma-separated horizons")
+        p.add_argument("--horizons", type=_list_of(int), help="comma-separated horizons")
         p.add_argument("--k", type=int)
         p.add_argument("--x", type=int)
         p.add_argument("--seed", type=int)
@@ -528,9 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {"task": args.task}
-    if args.model:
-        values["model"] = {"path": args.model}
+    values = {name: v for name, v in vars(args).items() if name in _CONFIG_FIELDS and v is not None}
     if args.task == "gen-model" and (args.states or args.actions or args.min_entry):
         values["model"] = {
             "generator": {
@@ -540,31 +527,25 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 "seed": args.seed or 0,
             }
         }
-    if args.schedule:
-        values["schedule"] = parse_schedule_arg(args.schedule)
-    for key in ("gamma", "horizon", "k", "x", "seed", "tol", "kappa", "epsilon", "panel_size", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
-    try:
-        if args.gammas:
-            values["gammas"] = [float(t) for t in args.gammas.split(",")]
-        if args.horizons:
-            values["horizons"] = [int(t) for t in args.horizons.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--gammas and --horizons take comma-separated numbers: {exc}") from exc
+    if "schedule" in values:
+        values["schedule"] = parse_schedule_arg(values["schedule"])
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file does not exist: {args.config}")
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
             raise ConfigError(f"bad config JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("configuration must be a JSON object")
+        unknown = set(data) - _CONFIG_FIELDS
+        if unknown:
+            raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
         # configuration files are the reproducible record: they win over flags
-        values.update(_load_config_mapping(data))
+        values.update(data)
+    if not isinstance(values.get("out", ""), str):
+        raise ConfigError(f"out must be a string, got {values['out']!r}")
     _check_numeric_fields(values)
-    return ExperimentConfig(**{k: v for k, v in values.items() if k in _CONFIG_FIELDS})
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:
@@ -576,7 +557,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return run(cfg)
-    except (ConfigError, InvalidModel) as exc:
+    except (ConfigError, InvalidModel, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:

@@ -37,7 +37,6 @@ class EvaluationResult:
     start_k: int
     start_x: int
     normalizer: float
-    bound_slack: float | None = None
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,10 @@ class SimulationResult:
     normalizer: float
 
 
-def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int):
+def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, gamma: float = 0.0):
     """phi weights, their partial sum, and the (n, n_states) action and reward
     tables of a policy over the time window [k, k + n), checked against the
-    model."""
+    model and against a gamma whose tilted partial reward overflows."""
     if n < 1:
         raise InvalidModel("horizon must be at least 1")
     phi = schedule.phi_array(k, n)
@@ -77,7 +76,10 @@ def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int):
     actions = table[rows]
     if (actions >= model.n_actions).any():
         raise InvalidModel("policy uses an action index outside the model's action set")
-    return phi, norm, actions, model.reward[np.arange(model.n_states), actions]
+    c = model.reward[np.arange(model.n_states), actions]
+    if not math.isfinite(abs(gamma) * norm * float(np.abs(c).max())):
+        raise GammaNotAllowed(f"|gamma| = {abs(gamma)} times the window's reward mass exceeds the float range")
+    return phi, norm, actions, c
 
 
 def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
@@ -143,13 +145,14 @@ def exact_risk_value(
 
     Propagates E[exp(gamma * weighted partial reward) ; X_j = y] forward,
     tilting step j by exp(gamma * phi(k + j) * c), and returns ln of its
-    total mass divided by gamma times the phi partial sum.  Works for
-    arbitrarily large |gamma| since the recursion keeps its scale in a
-    running log normaliser.
+    total mass divided by gamma times the phi partial sum.  Works for any
+    |gamma| whose tilted partial reward |gamma| * sum phi * max|c| is a
+    finite float, since the recursion keeps its scale in a running log
+    normaliser; a larger |gamma| raises GammaNotAllowed.
     """
     if gamma == 0.0:
         raise GammaNotAllowed("risk evaluation needs gamma != 0")
-    phi, norm, actions, c = _window(model, policy, schedule, k, n)
+    phi, norm, actions, c = _window(model, policy, schedule, k, n, gamma)
     z, log_scale = _forward(model, actions, x, gamma * phi[:, None] * c)
     total = log_scale[-1] + math.log(z[-1].sum())
     return EvaluationResult(value=total / (gamma * norm), horizon=n, start_k=k, start_x=x, normalizer=norm)
@@ -177,7 +180,7 @@ def simulate(
         raise InvalidModel("need at least one replicate")
     if gamma == 0.0:
         raise GammaNotAllowed("risk estimate needs gamma != 0")
-    phi, norm, actions, c = _window(model, policy, schedule, k, n)
+    phi, norm, actions, c = _window(model, policy, schedule, k, n, gamma)
     if not 0 <= x0 < model.n_states:
         raise InvalidModel("start state out of range")
     cum = model.kernel.cumsum(axis=2)

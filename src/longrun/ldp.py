@@ -32,6 +32,7 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
+    _finite_number,
     phi_partial_sum,
 )
 from .average_solver import stationary_distribution
@@ -328,6 +329,8 @@ def ldp_upper_bound_check(
     inspection against the rate-function infimum.
     """
     Pm = _require_ergodic(P)
+    if _finite_number(kappa, "kappa") < 0.0:
+        raise InvalidModel(f"kappa must be nonnegative, got {kappa!r}")
     f = np.asarray(f, dtype=float)
     if f.min() < 1.0:
         raise InvalidModel("f must satisfy min f >= 1")
@@ -367,7 +370,7 @@ def deviation_rate_infimum(P, cu, eps: float) -> float:
     cu = np.asarray(cu, dtype=float)
     if cu.shape != (s,):
         raise InvalidModel("reward vector must have one entry per state")
-    if eps <= 0:
+    if _finite_number(eps, "eps") <= 0:
         raise InvalidModel("eps must be positive")
     mu = stationary_distribution(P)
     m = float(mu @ cu)

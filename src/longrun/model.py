@@ -466,9 +466,16 @@ def risk_contraction_margin(model: Model, gamma: float) -> float:
     coefficient (Model.ergodicity).
 
     Values below 1 certify that risk-sensitive span iteration stays bounded;
-    the caller tests the threshold.
+    the caller tests the threshold.  The value is 0 when the coefficient is
+    0 and inf when the exponential overflows.
     """
-    return math.exp(abs(gamma) * model.reward_span()) * model.ergodicity
+    delta = model.ergodicity
+    if delta == 0.0:
+        return 0.0
+    try:
+        return math.exp(abs(gamma) * model.reward_span()) * delta
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------
@@ -508,8 +515,9 @@ def model_from_dict(data: dict) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+    """Write the model as JSON: sorted keys, two-space indent, "\n" newlines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

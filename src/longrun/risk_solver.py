@@ -27,6 +27,7 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
+    _finite_number,
     equivalence_constant,
     risk_contraction_margin,
     span_seminorm,
@@ -117,7 +118,7 @@ def certificate_for(model: Model, gamma: float):
 
 
 def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
+    gamma = _finite_number(gamma, "gamma")
     if abs(gamma) < GAMMA_FLOOR:
         raise GammaNotAllowed(
             f"|gamma| < {GAMMA_FLOOR}: the 1/gamma gain extraction is unstable; use poisson_solve"
@@ -133,11 +134,12 @@ def _risk_values(model: Model, gamma: float, w: np.ndarray, phi: float = 1.0):
     ties resolved toward the lowest action index.
     """
     shift = w.max()
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = gamma * phi * model.reward.T + shift + np.log(model.kernel @ np.exp(w - shift))
     if not np.isfinite(q).all():
-        # an iterate escaped the representable range: no bounded solution is
-        # reachable from here (possible only without a span certificate)
+        # an iterate, or gamma * c itself, escaped the representable range:
+        # no bounded solution is reachable from here (possible only without
+        # a finite span certificate)
         raise NoConvergence("relative values left the representable log range")
     if gamma > 0:
         return q.max(axis=0), q.argmax(axis=0)

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import longrun.ldp
 from longrun import density_bounds, ergodicity_coefficient, load_model
 from longrun.cli import gen_model, main, parse_schedule_arg
-from longrun.errors import ConfigError
+from longrun.errors import CheckFailed, ConfigError
+from longrun.ldp import MarginReport
 
 
 def read(path):
@@ -74,11 +76,27 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"task": "verify", "bogus_field": 1}), encoding="utf-8")
     assert main(["verify", "--config", str(cfg)]) == 2
-    for flag in ("--gammas=a,b", "--horizons=1,x"):
+    cfg.write_bytes(b'{"gamma": "\xff"}')  # not UTF-8
+    assert main(["verify", "--config", str(cfg)]) == 2
+    # an empty list flag is refused, not read as the default
+    for flag in ("--gammas=a,b", "--horizons=1,x", "--gammas=", "--horizons="):
         assert main(["sweep-gamma", flag, "--out", str(tmp_path)]) == 2
     out = ["--model", model_file, "--out", str(tmp_path / "o")]
     for task in ("solve-average", "solve-risk"):
         assert main([task, "--tol", "nan"] + out) == 2
+    # non-finite numbers and negative seeds are usage errors, never a failed check
+    for task, flags in (
+        ("solve-risk", ["--gamma", "nan"]),
+        ("solve-risk", ["--gamma", "inf"]),
+        ("ldp-check", ["--kappa", "nan"]),
+        ("ldp-check", ["--kappa=-1000"]),
+        ("ldp-check", ["--gamma=-0.003", "--epsilon", "nan"]),
+        ("ldp-check", ["--gamma=-0.003", "--epsilon", "inf"]),
+        ("verify", ["--seed=-1"]),
+        ("ldp-check", ["--seed=-1"]),
+        ("sweep-gamma", ["--gammas=0.5,nan"]),
+    ):
+        assert main([task] + flags + out) == 2
     # an empty panel would make the risk upper-bound check pass vacuously
     for size in ("0", "-1"):
         assert main(["verify", "--panel-size", size, "--horizons", "10"] + out) == 2
@@ -89,6 +107,12 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
         ("sweep-gamma", {"gammas": "a"}),
         ("evaluate", {"horizons": ["x"]}),
         ("solve-average", {"window": "abc", "schedule": {"family": "hyperbolic", "h": 1.0, "r": 1.0}}),
+        ("solve-risk", {"gamma": float("nan")}),
+        ("solve-risk", {"gamma": 10**400}),
+        ("ldp-check", {"f": [2.0, float("inf")]}),
+        ("evaluate", {"seed": -1, "reps": 2}),
+        ("solve-average", {"out": 5}),
+        ("solve-average", {"task": ["solve-average"]}),
     ):
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         assert main([task, "--config", str(cfg)] + out) == 2
@@ -103,6 +127,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
         cfg.write_text(json.dumps({"schedule": schedule}), encoding="utf-8")
         for task in ("solve-average", "evaluate", "ldp-check"):
             assert main([task, "--config", str(cfg)] + out) == 2
+    # generator specs go through the same numeric checks
+    for field, value in (("n_states", "abc"), ("n_states", 2.7), ("min_entry", "x"), ("min_entry", float("nan")),
+                         ("seed", -1)):
+        spec = {"n_states": 2, "n_actions": 1, "min_entry": 0.1, "seed": 0, field: value}
+        cfg.write_text(json.dumps({"model": {"generator": spec}}), encoding="utf-8")
+        for task in ("gen-model", "solve-average"):
+            assert main([task, "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+    assert main(["gen-model", "--states", "2", "--seed=-1", "--out", str(tmp_path / "g")]) == 2
+    # an output directory that cannot be made is a usage error
+    assert main(["solve-average", "--model", model_file, "--out", model_file]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -117,6 +151,12 @@ def test_missing_model_exits_2(tmp_path, capsys):
     ):
         bad.write_text(text, encoding="utf-8")
         assert main(["solve-average", "--model", str(bad), "--out", str(tmp_path)]) == 2
+    # a path that is not a string: an int would be read as an open file
+    # descriptor (0 is standard input, 2 standard error)
+    cfg = tmp_path / "cfg.json"
+    for path in (0, 1, 2, ["a"], None, str(tmp_path)):
+        cfg.write_text(json.dumps({"model": {"path": path}}), encoding="utf-8")
+        assert main(["solve-average", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -195,6 +235,23 @@ def test_not_ergodic_exits_3(tmp_path):
     assert main(["solve-average", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_risk_factor_beyond_exp_overflow(tmp_path, capsys):
+    # span(c) = 0.945 on this model: |gamma| span(c) > 709.78 overflows exp
+    # in the contraction margin, so the margin certificate is unavailable
+    out = tmp_path / "gen"
+    assert main(["gen-model", "--states", "3", "--actions", "2", "--min-entry", "0.05", "--seed", "7",
+                 "--out", str(out)]) == 0
+    model = ["--model", str(out / "model.json"), "--out", str(tmp_path / "o")]
+    for argv in (
+        ["solve-risk", "--gamma", "800"],
+        ["solve-risk", "--gamma=-1000"],
+        ["sweep-gamma", "--gammas=-1,1000"],
+        ["verify", "--gamma", "1000", "--horizons", "20", "--panel-size", "5"],
+    ):
+        assert main(argv + model) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_evaluate_task(model_file, tmp_path):
     out = tmp_path / "ev"
     assert main(["evaluate", "--model", model_file, "--schedule", "hyperbolic:1,1",
@@ -238,6 +295,21 @@ def test_ldp_check_margin_with_negative_gamma(tmp_path):
     text = read(out / "report.txt")
     assert "margin_rate_infimum" in text
     assert "result: PASS" in text
+
+
+def test_ldp_check_reports_a_failed_margin(model_file, tmp_path, monkeypatch):
+    def failing_margin(model, policy, schedule, eps, gamma, k, n):
+        report = MarginReport(lam_u=0.5, rate_infimum=0.2, slack=0.01, eps=eps, gamma=gamma, values=[0.1, 0.2],
+                              margin=-0.25, passed=False)
+        raise CheckFailed("risk value fell below the near-optimality floor by 0.25", report)
+
+    monkeypatch.setattr(longrun.ldp, "near_optimality_margin", failing_margin)
+    out = tmp_path / "m"
+    assert main(["ldp-check", "--model", model_file, "--gamma=-0.003", "--out", str(out)]) == 1
+    text = read(out / "report.txt")
+    assert "margin: -0.25\n" in text
+    assert text.endswith("result: FAIL\n")
+    assert os.path.exists(out / "decay.csv")
 
 
 def test_verify_reference_model(tmp_path):

@@ -157,6 +157,18 @@ def test_risk_value_large_gamma_no_overflow(reference_model, reference_policy, u
     assert res.value <= 1.0 + 1e-9
 
 
+def test_risk_value_gamma_beyond_the_float_range_refused(reference_model, reference_policy, unit):
+    # |gamma| * sum phi * max|c| overflows: refused instead of a NaN value and
+    # an overflow warning
+    for gamma in (1e308, -1e308, 1e307):
+        with pytest.raises(GammaNotAllowed):
+            exact_risk_value(reference_model, reference_policy, unit, gamma, 0, 60, 0)
+        with pytest.raises(GammaNotAllowed):
+            simulate(reference_model, reference_policy, unit, 0, 60, 0, seed=0, reps=2, gamma=gamma)
+    # up to the float range the value stays finite
+    assert math.isfinite(exact_risk_value(reference_model, reference_policy, unit, 1e305, 0, 60, 0).value)
+
+
 def test_risk_to_discounted_as_gamma_vanishes(reference_model, reference_policy, hyperbolic):
     n = 50
     base = exact_discounted_value(reference_model, reference_policy, hyperbolic, 0, n, 0).value

@@ -251,12 +251,26 @@ def test_upper_bound_check_requires_f_at_least_one(unit):
         ldp_upper_bound_check(REF_P, np.array([0.5, 0.25]), 0.0, unit, 0, [4])
 
 
+def test_upper_bound_check_requires_finite_nonnegative_kappa(unit):
+    # a NaN kappa would fail every row with a NaN bound, and a large
+    # negative one would overflow exp in the bound
+    for kappa in (float("nan"), float("inf"), -float("inf"), -1e-3, -1000.0):
+        with pytest.raises(InvalidModel):
+            ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), kappa, unit, 0, [4])
+
+
 # ------------------------------------------------ deviation rates and margins
 
 
 def test_deviation_rate_empty_set():
     with pytest.raises(EmptyDeviationSet):
         deviation_rate_infimum(REF_P, np.array([1.0, 0.0]), 0.9)
+
+
+def test_deviation_rate_requires_finite_eps():
+    for eps in (float("nan"), float("inf"), 0.0, -0.1):
+        with pytest.raises(InvalidModel):
+            deviation_rate_infimum(REF_P, np.array([1.0, 0.0]), eps)
 
 
 def test_deviation_rate_reference_value():

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -290,6 +293,19 @@ def test_risk_contraction_margin_constant_reward():
     assert risk_contraction_margin(m, 7.0) == pytest.approx(0.25)
 
 
+def test_risk_contraction_margin_overflow(reference_model):
+    # the same float as exp(|gamma| span) * delta below the overflow point
+    for gamma in (1.0, -3.5, 709.0):
+        assert risk_contraction_margin(reference_model, gamma) == math.exp(abs(gamma)) * 0.25
+    # exp overflows past |gamma| span = 709.78: the margin is unavailable, not an error
+    for gamma in (710.0, -1000.0, 1e300):
+        assert risk_contraction_margin(reference_model, gamma) == math.inf
+    # a zero coefficient makes the margin 0 however large the exponential
+    one_step = Model(np.array([[[0.5, 0.5], [0.5, 0.5]]]), np.array([[1.0], [0.0]]))
+    assert risk_contraction_margin(one_step, 0.5) == 0.0
+    assert risk_contraction_margin(one_step, 1000.0) == 0.0
+
+
 # ------------------------------------------------------------------ schedules
 
 
@@ -372,6 +388,9 @@ def test_model_roundtrip(tmp_path, two_action_model):
     loaded = load_model(path)
     assert np.array_equal(loaded.kernel, two_action_model.kernel)
     assert np.array_equal(loaded.reward, two_action_model.reward)
+    # sorted keys, two-space indent and "\n" newlines on every platform
+    text = path.read_bytes().decode("utf-8")
+    assert text == json.dumps(model_to_dict(two_action_model), indent=2, sort_keys=True) + "\n"
 
 
 def test_model_dict_rejects_unknown_fields(reference_model):

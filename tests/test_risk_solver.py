@@ -9,6 +9,7 @@ from longrun import (
     InvalidModel,
     MarginNotSatisfied,
     Model,
+    NoConvergence,
     StationaryPolicy,
     UnitSchedule,
     gamma_sweep,
@@ -75,11 +76,19 @@ def test_gamma_to_zero_is_linear(reference_model, reference_policy):
     assert slopes[2] == pytest.approx(slopes[1], rel=2e-2)
 
 
-def test_gamma_floor_refused(reference_model):
+def test_gamma_floor_refused(reference_model, reference_policy):
     with pytest.raises(GammaNotAllowed):
         risk_relative_value_iteration(reference_model, 1e-9)
     with pytest.raises(GammaNotAllowed):
         risk_relative_value_iteration(reference_model, 0.0)
+    # so is a gamma that is not a finite number
+    for gamma in (float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(InvalidModel):
+            risk_relative_value_iteration(reference_model, gamma)
+        with pytest.raises(InvalidModel):
+            perron_oracle(reference_model, reference_policy, gamma)
+        with pytest.raises(InvalidModel):
+            risk_time_extended_solve(reference_model, UnitSchedule(), gamma, n_slices=5)
     # a tolerance that is not a positive finite number is refused as well
     for tol in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(InvalidModel):
@@ -148,6 +157,26 @@ def test_certificate_prefers_tighter_bound(reference_model):
     # both bounds exist here: span + ln K = 1 + ln 2, margin bound ~ 2.138
     assert cert == "equivalence"
     assert bound == pytest.approx(1.0 + math.log(2.0))
+
+
+def test_certificate_beyond_exp_overflow():
+    # |gamma| span(c) > 709.78 overflows exp in the contraction margin; the
+    # margin certificate is then unavailable and the equivalence bound applies
+    m = random_model(7, n_states=3, n_actions=2)
+    for gamma in (800.0, -1000.0):
+        cert, bound = certificate_for(m, gamma)
+        assert cert == "equivalence"
+        assert math.isfinite(bound)
+        sol = risk_relative_value_iteration(m, gamma)
+        assert sol.certificate == "equivalence"
+
+
+def test_gamma_beyond_the_float_range_stops_cleanly():
+    # gamma * c overflows: no numpy overflow warning, the solve stops with NoConvergence
+    m = Model(np.array([REF_P]), np.array([[5.0], [0.0]]))
+    for gamma in (1e308, -1e308):
+        with pytest.raises(NoConvergence):
+            risk_relative_value_iteration(m, gamma)
 
 
 def test_certificate_uncertified_when_both_fail():
