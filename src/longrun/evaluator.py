@@ -61,8 +61,6 @@ def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, ga
         raise InvalidModel("horizon must be at least 1")
     phi = schedule.phi_array(k, n)
     norm = phi_partial_sum(schedule, k, n)
-    if norm <= 0.0:
-        raise InvalidModel("schedule mass over the window must be positive")
     if isinstance(policy, StationaryPolicy):
         table = np.asarray(policy.actions, dtype=int)[None, :]
         rows = np.zeros(n, dtype=int)
@@ -278,11 +276,13 @@ def discounted_optimality_check(
     random time-varying policies never beats the gain by more than the
     phi(k)-weighted relative-value slack.
     """
+    horizon_grid = [int(n) for n in horizon_grid]
+    if not horizon_grid:
+        raise InvalidModel("the optimality check needs at least one horizon")
     sol = relative_value_iteration(model, tol=tol)
     w_max = float(sol.w.max())
     phi_k = schedule.phi(k)
     rows = []
-    horizon_grid = [int(n) for n in horizon_grid]
     for n in horizon_grid:
         res = exact_discounted_value(model, sol.policy, schedule, k, n, x)
         norm = res.normalizer

@@ -3,12 +3,14 @@ finite-horizon large-deviation upper bounds for a fixed Markov kernel.
 
 Everything here concerns a single uncontrolled chain P (typically a policy
 kernel).  The rate function is evaluated by one multi-start concave
-maximization over log test functions, which the deviation-set infimum also
-calls: at the band's two boundary points for two-state chains, inside an
-SLSQP search over each half-space otherwise.  The deviation-probability
-bounds are verified exactly, by the exact risk evaluator for the
-exponential-martingale inequality and by full path enumeration for event
-probabilities.  Each public function checks its kernel once.
+maximization over log test functions.  The deviation-set infimum is its
+Legendre dual, a one-dimensional maximization over the tilt on each side of
+the band, evaluated with the upper Collatz-Wielandt bound on the Perron root
+that risk_solver.perron_oracle also uses, so it is a certified lower bound.
+The deviation-probability bounds are verified exactly, by the exact risk
+evaluator for the exponential-martingale inequality and by full path
+enumeration for event probabilities.  Each public function checks its kernel
+once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.sparse import csgraph
 
 from .errors import (
     CheckFailed,
@@ -37,6 +40,7 @@ from .model import (
 )
 from .average_solver import stationary_distribution
 from .evaluator import exact_risk_value
+from .risk_solver import _collatz_wielandt
 
 # search box for log test functions when no ratio constraint is given; the
 # value a capped search forgoes is below exp(-box) and thus far under any
@@ -46,15 +50,11 @@ _LOG_BOX = 40.0
 _ENUM_CHUNK = 1 << 21
 
 
-def _as_chain(P) -> Model:
+def _require_ergodic(P) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InvalidModel("kernel must be a square matrix")
-    return Model(P[None, :, :], np.zeros((P.shape[0], 1)))
-
-
-def _require_ergodic(P) -> np.ndarray:
-    chain = _as_chain(P)
+    chain = Model(P[None, :, :], np.zeros((P.shape[0], 1)))
     if chain.ergodicity >= 1.0:
         raise NotErgodic("kernel has ergodicity coefficient >= 1")
     return chain.kernel[0]
@@ -85,8 +85,6 @@ def weighted_empirical(
     n = traj.size
     phi = schedule.phi_array(k, n)
     norm = phi_partial_sum(schedule, k, n)
-    if norm <= 0.0:
-        raise InvalidModel("schedule mass over the window must be positive")
     nu = np.bincount(traj, weights=phi, minlength=s) / norm
     return WeightedEmpiricalMeasure(nu=nu, start=k, horizon=n, schedule=schedule)
 
@@ -142,7 +140,8 @@ def _ascend(P: np.ndarray, nu: np.ndarray, hi: float, starts) -> tuple:
 
 
 def _grid_best_2(P: np.ndarray, nu: np.ndarray, hi: float, step: float = 1e-4) -> tuple:
-    """Exhaustive scan over the 2-state family g = (0, t); the grid oracle."""
+    """Exhaustive scan over the 2-state family g = (0, t); the best value and
+    its g, shifted into the box as (max(0, -t), max(0, t))."""
     with np.errstate(divide="ignore"):
         logP = np.log(P)
     ts = np.arange(-hi, hi + step / 2, step)
@@ -151,27 +150,7 @@ def _grid_best_2(P: np.ndarray, nu: np.ndarray, hi: float, step: float = 1e-4) -
         + nu[1] * np.logaddexp(logP[1, 0], logP[1, 1] + ts)
     )
     j = int(np.argmax(vals))
-    return float(vals[j]), float(ts[j])
-
-
-def _rate_search(P: np.ndarray, nu: np.ndarray, hi: float = _LOG_BOX, restarts: int = 16, seed: int = 0) -> tuple:
-    """Seeded multi-start ascent of the rate objective over the box [0, hi]^s.
-
-    Runs on a checked kernel and returns (value, g, number of starts); for
-    two states an exhaustive grid over the one free coordinate, polished by
-    one more ascent, backs the ascent.
-    """
-    rng = np.random.default_rng(seed)
-    s = P.shape[0]
-    starts = [np.zeros(s)] + [rng.uniform(0.0, hi, size=s) for _ in range(max(restarts - 1, 0))]
-    best_val, best_g = _ascend(P, nu, hi, starts)
-    if s == 2:
-        grid_val, grid_t = _grid_best_2(P, nu, hi)
-        polish_val, polish_g = _ascend(P, nu, hi, [np.array([max(0.0, -grid_t), max(0.0, grid_t)])])
-        for val, g in ((grid_val, np.array([max(0.0, -grid_t), max(0.0, grid_t)])), (polish_val, polish_g)):
-            if g is not None and val > best_val:
-                best_val, best_g = val, g
-    return float(best_val), best_g, len(starts)
+    return float(vals[j]), np.array([max(0.0, -ts[j]), max(0.0, ts[j])])
 
 
 def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int = 0) -> RateReport:
@@ -192,7 +171,16 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     if d is not None and not d > 1.0:
         raise InvalidModel("ratio constraint d must exceed 1")
     hi = math.log(d) if d is not None else _LOG_BOX
-    best_val, best_g, n_starts = _rate_search(P, nu, hi, restarts, seed)
+    rng = np.random.default_rng(seed)
+    s = P.shape[0]
+    starts = [np.zeros(s)] + [rng.uniform(0.0, hi, size=s) for _ in range(max(restarts - 1, 0))]
+    best_val, best_g = _ascend(P, nu, hi, starts)
+    if s == 2:
+        grid_val, grid_g = _grid_best_2(P, nu, hi)
+        polish_val, polish_g = _ascend(P, nu, hi, [grid_g])
+        for val, g in ((grid_val, grid_g), (polish_val, polish_g)):
+            if g is not None and val > best_val:
+                best_val, best_g = val, g
     _, grad = _rate_objective(best_g, P, nu)
     # projected gradient: components pushing outside the box do not count
     proj = grad.copy()
@@ -201,10 +189,10 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     grad_norm = float(np.abs(proj).max())
     return RateReport(
         nu=nu,
-        value=best_val,
+        value=float(best_val),
         maximizer=np.exp(best_g - best_g.min()),
         d_constraint=d,
-        restarts=n_starts,
+        restarts=len(starts),
         grad_norm=grad_norm,
         converged=grad_norm <= 1e-6,
     )
@@ -294,10 +282,7 @@ def _event_probability(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int
     r = np.log(f) - np.log(P @ f)
     phi = schedule.phi_array(k, n)
     threshold = kappa * phi_partial_sum(schedule, k, n)
-    probs = np.array([1.0])
-    sums = np.array([phi[0] * r[x]])
-    last = np.array([x])
-    return _enumerate_mass(P, r, phi, 1, n, probs, sums, last, threshold)
+    return _enumerate_mass(P, r, phi, 1, n, np.array([1.0]), np.array([phi[0] * r[x]]), np.array([x]), threshold)
 
 
 @dataclass(frozen=True)
@@ -334,9 +319,13 @@ def ldp_upper_bound_check(
     f = np.asarray(f, dtype=float)
     if f.min() < 1.0:
         raise InvalidModel("f must satisfy min f >= 1")
+    n_grid = sorted(int(n) for n in n_grid)
+    if not n_grid:
+        # no row would be checked, and the audit would pass vacuously
+        raise InvalidModel("the deviation bound check needs at least one horizon")
     d = float(f.max() / f.min())
     rows = []
-    for n in sorted(int(n) for n in n_grid):
+    for n in n_grid:
         norm = phi_partial_sum(schedule, k, n)
         q = max(_event_probability(Pm, schedule, k, n, f, kappa, x) for x in range(Pm.shape[0]))
         bound = d * math.exp(-kappa * norm)
@@ -356,74 +345,68 @@ def ldp_upper_bound_check(
 
 
 def deviation_rate_infimum(P, cu, eps: float) -> float:
-    """Infimum of the rate function over {nu : |nu.cu - mu.cu| >= eps}.
+    """Certified lower bound on the rate infimum over {nu : |nu.cu - mu.cu| >= eps}.
 
-    The rate is convex and zero at mu, so on each side of the band the
-    infimum lies on that side's boundary nu.cu = mu.cu +- eps.  For two
-    states that boundary is a single point, and its rate is the side's
-    infimum; larger chains minimize over each half-space with SLSQP from
-    several starts.  Raises EmptyDeviationSet when eps exceeds the
-    achievable deviation, and the returned infimum is always positive.
+    By the contraction principle each side of the band, {nu : nu.c >= a}
+    with c = +-cu and a = +-mu.cu + eps, has infimum
+    sup_{theta >= 0} theta a - ln rho(P diag(e^{theta c})).  Any theta with
+    the upper Collatz-Wielandt bound on rho (the power iteration that
+    perron_oracle shares) bounds it from below, up to rounding.  The value is
+    inf at a side's reach when the chain cannot stay on its extreme states.
+    Raises EmptyDeviationSet when eps exceeds the achievable deviation.
     """
     P = _require_ergodic(P)
-    s = P.shape[0]
     cu = np.asarray(cu, dtype=float)
-    if cu.shape != (s,):
-        raise InvalidModel("reward vector must have one entry per state")
-    if _finite_number(eps, "eps") <= 0:
+    if cu.shape != (P.shape[0],) or not np.isfinite(cu).all():
+        raise InvalidModel("reward vector must be finite with one entry per state")
+    if (eps := _finite_number(eps, "eps")) <= 0:
         raise InvalidModel("eps must be positive")
     mu = stationary_distribution(P)
-    m = float(mu @ cu)
-    reach = max(float(cu.max()) - m, m - float(cu.min()))
+    sides = [(c, float(c.max()) - float(c @ mu)) for c in (cu, -cu)]
+    reach = max(side_reach for _, side_reach in sides)
     if eps > reach + 1e-15:
         raise EmptyDeviationSet(f"eps {eps} exceeds the achievable deviation {reach}")
-    best = math.inf
-    rng = np.random.default_rng(0)
-    cons_eq = {"type": "eq", "fun": lambda v: v.sum() - 1.0, "jac": lambda v: np.ones(s)}
-
-    def objective(v):
-        v = np.clip(v, 1e-12, None)
-        v = v / v.sum()
-        value, g, _ = _rate_search(P, v, restarts=4, seed=1)
-        f = np.exp(g - g.min())
-        return value, np.log(f) - np.log(P @ f)
-
-    for sign in (1.0, -1.0):
-        side_reach = (float(cu.max()) - m) if sign > 0 else (m - float(cu.min()))
-        if eps > side_reach + 1e-15:
-            continue
-        vertex = np.zeros(s)
-        vertex[int(np.argmax(sign * cu))] = 1.0
-        if s == 2:
-            # the side's one boundary point, on the segment from mu to the
-            # vertex where nu.cu = m + sign * eps; the vertex itself at reach
-            nu = vertex if eps >= side_reach else mu + eps / side_reach * (vertex - mu)
-            best = min(best, _rate_search(P, nu)[0])
-            continue
-        cons_side = {
-            "type": "ineq",
-            "fun": lambda v, sg=sign: sg * (v @ cu - m) - eps,
-            "jac": lambda v, sg=sign: sg * cu,
-        }
-        starts = [mu.copy()] + [rng.dirichlet(np.ones(s)) for _ in range(5)]
-        starts.append(vertex)
-        for v0 in starts:
-            res = optimize.minimize(
-                objective,
-                v0,
-                jac=True,
-                method="SLSQP",
-                bounds=[(0.0, 1.0)] * s,
-                constraints=[cons_eq, cons_side],
-                options={"maxiter": 200, "ftol": 1e-12},
-            )
-            if res.success and res.fun < best:
-                best = float(res.fun)
-    if not math.isfinite(best):
-        raise EmptyDeviationSet("no feasible distribution at this eps")
+    best = min(_dual_side(P, c, side_reach - eps) for c, side_reach in sides if eps <= side_reach + 1e-15)
     if best <= 0.0:
         raise NoConvergence("rate infimum over the deviation set came out nonpositive")
-    return float(best)
+    return best
+
+
+def _dual_side(P: np.ndarray, c: np.ndarray, room: float) -> float:
+    """Lower bound on inf{I(nu) : nu.c >= max c - room}.
+
+    Maximizes -theta room - ln hi(theta) by bounded Brent, with hi(theta) the
+    upper Collatz-Wielandt bound on rho(P diag(e^{theta (c - max c)})), the
+    largest over P's communicating classes, where the lazy power iteration
+    converges even if transient states make P reducible.  At room <= 0 the
+    supremum is its limit, -ln rho of P on the states of maximal c.
+    """
+    d = c - float(c.max())
+    if room <= 0.0:
+        P, d = P[np.ix_(d == 0.0, d == 0.0)], d[d == 0.0]
+    n_classes, labels = csgraph.connected_components(P > 0.0, connection="strong")
+    classes = [np.flatnonzero(labels == b) for b in range(n_classes)]
+
+    def value(theta):
+        # scaling columns keeps the top states' columns at P; clamping the
+        # exponents above the underflow of exp keeps P's classes and only
+        # raises hi, so the bound stays valid
+        Q = P * np.exp(np.maximum(theta * d, -700.0))
+        hi = max(_collatz_wielandt(Q[np.ix_(k, k)], 1e-14, lazy=True)[1] for k in classes)
+        return -theta * room - math.log(hi) if hi > 0.0 else math.inf
+
+    if room <= 0.0:
+        return value(0.0)
+    # the optimal theta grows like ln(1/room) / gap: double a bracket while
+    # the value rises; beyond theta gap = 512 it gains at most ~e^-512
+    gap = -float(d[d < 0.0].max())
+    theta, f = 1.0 / gap, value(1.0 / gap)
+    while theta * gap < 256.0 and (f2 := value(2.0 * theta)) > f:
+        theta, f = 2.0 * theta, f2
+    res = optimize.minimize_scalar(
+        lambda t: -value(t), bounds=(0.0, 2.0 * theta), method="bounded", options={"xatol": 1e-10 / gap}
+    )
+    return max(f, -float(res.fun))
 
 
 @dataclass(frozen=True)
@@ -449,8 +432,10 @@ def near_optimality_margin(
 ) -> MarginReport:
     """Certify that a fixed policy is nearly optimal for small negative risk.
 
-    Requires |gamma| < e / (2 max|c|) where e is the rate infimum over the
-    eps-deviation set of the policy's reward.  The exact finite-horizon risk
+    Requires |gamma| < e / (2 max|c|) where e is the certified lower bound of
+    deviation_rate_infimum on the rate infimum over the eps-deviation set of
+    the policy's reward; a lower e only shrinks the admitted gammas and
+    widens the slack, so the check stays sound.  The exact finite-horizon risk
     value (from every start state) must then stay above mu.cu - eps minus a
     computable remainder that vanishes as the horizon grows:
     slack(n) = ln(1 + exp(-S (e - 2|gamma| max|c| + |gamma| eps))) / (|gamma| S)
@@ -472,16 +457,10 @@ def near_optimality_margin(
     mu = stationary_distribution(P)
     lam_u = float(mu @ cu)
     norm = phi_partial_sum(schedule, k, n)
-    if math.isinf(rate_e):
-        slack = 0.0
-    else:
-        slack = math.log1p(math.exp(-norm * (rate_e - 2.0 * abs(gamma) * c_norm + abs(gamma) * eps))) / (
-            abs(gamma) * norm
-        )
+    # an infinite rate leaves exp(-inf) = 0 and no slack
+    slack = math.log1p(math.exp(-norm * (rate_e - 2.0 * abs(gamma) * c_norm + abs(gamma) * eps))) / (abs(gamma) * norm)
     floor = lam_u - eps - slack
-    values = [
-        exact_risk_value(model, policy, schedule, gamma, k, n, x).value for x in range(model.n_states)
-    ]
+    values = [exact_risk_value(model, policy, schedule, gamma, k, n, x).value for x in range(model.n_states)]
     margin = min(v - floor for v in values)
     report = MarginReport(
         lam_u=lam_u,

@@ -211,7 +211,10 @@ class DiscountSchedule:
     def partial_sum(self, start: int, count: int) -> float:
         if count < 1:
             raise InvalidModel("partial sum needs at least one term")
-        return float(self.phi_array(start, count).sum())
+        total = float(self.phi_array(start, count).sum())
+        if not total > 0.0:  # every caller divides by it
+            raise InvalidModel("schedule mass over the window must be positive")
+        return total
 
     def to_dict(self) -> dict:
         raise NotImplementedError

@@ -201,9 +201,9 @@ def perron_oracle(
     """Fixed-policy risk-sensitive gain via the Perron root.
 
     The gain equals (1/gamma) ln rho(Q) for Q(x, y) = exp(gamma c(x, u(x)))
-    P_u(x, y).  Computed by power iteration with Collatz-Wielandt brackets on
-    the rescaled matrix exp(gamma (c - max c)) P_u, which keeps all entries
-    at or below 1.  Independent of the log-space span iteration.
+    P_u(x, y).  Computed by the Collatz-Wielandt power iteration that ldp
+    shares, on the rescaled matrix exp(gamma (c - max c)) P_u.  Independent
+    of the log-space span iteration.
     """
     gamma = _check_gamma(gamma)
     if model.under_policy(policy).ergodicity >= 1.0:
@@ -211,14 +211,27 @@ def perron_oracle(
     P = model.policy_kernel(policy)
     c = model.policy_reward(policy)
     c_max = float(c.max())
-    Q = np.exp(gamma * (c - c_max))[:, None] * P
-    v = np.ones(model.n_states) / model.n_states
+    lo, hi = _collatz_wielandt(np.exp(gamma * (c - c_max))[:, None] * P, tol, max_iter)
+    return c_max + math.log(0.5 * (lo + hi)) / gamma
+
+
+def _collatz_wielandt(Q: np.ndarray, tol: float, max_iter: int = 1_000_000, lazy: bool = False) -> tuple:
+    """Bracket lo <= rho(Q) <= hi of a nonnegative matrix by power iteration.
+
+    lo and hi are the min and max of Qv / v at the current positive iterate
+    v, so both hold at every step; stops once hi - lo <= tol max(hi, 1).  A
+    lazy iteration steps with Q + (hi / 4) I, which converges for periodic
+    irreducible Q too, and stops once hi - lo <= tol hi.
+    """
+    v = np.ones(Q.shape[0]) / Q.shape[0]
     for _ in range(max_iter):
         qv = Q @ v
         ratios = qv / v
         lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * max(hi, 1.0):
-            return c_max + math.log(0.5 * (lo + hi)) / gamma
+        if hi - lo <= tol * (hi if lazy else max(hi, 1.0)):
+            return lo, hi
+        if lazy:
+            qv += 0.25 * hi * v
         v = qv / qv.sum()
     raise NoConvergence("power iteration did not bracket the Perron root")
 

@@ -113,6 +113,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
         ("evaluate", {"seed": -1, "reps": 2}),
         ("solve-average", {"out": 5}),
         ("solve-average", {"task": ["solve-average"]}),
+        # phi vanishes on the window [1, 3): the decay column divided by zero
+        ("ldp-check", {"schedule": {"family": "tabulated", "values": [1.0, 0.0, 0.0], "tail_divergent": True},
+                       "k": 1, "n_grid": [2]}),
     ):
         cfg.write_text(json.dumps(doc), encoding="utf-8")
         assert main([task, "--config", str(cfg)] + out) == 2

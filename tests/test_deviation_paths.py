@@ -1,7 +1,8 @@
-"""The deviation-set rate infimum runs on the one private rate search; the
-reference below is the grid-and-SLSQP implementation it replaced.  Chains
-with three or more states must match it bit for bit (==, not approx); two-state
-chains read the rate at the band's boundary points instead of scanning a grid."""
+"""The deviation-set rate infimum is the Legendre dual of the Perron root,
+evaluated with the upper Collatz-Wielandt bound, so every value is a lower
+bound on the infimum.  The reference below is the grid-and-SLSQP
+implementation it replaced, and dense eigenvalue grids give an oracle that
+shares no code with the power iteration."""
 
 import math
 
@@ -111,12 +112,14 @@ def side_reaches(P, cu):
 
 
 @pytest.mark.parametrize("n_states, seed", [(3, 3), (4, 2), (5, 2)])
-def test_many_state_infimum_bitwise_matches_reference(n_states, seed):
+def test_many_state_dual_matches_reference(n_states, seed):
     P, cu = policy_chain(n_states, seed)
     _, up, down = side_reaches(P, cu)
     # both sides of the band, then only the wider one
     for eps in (0.3 * min(up, down), 0.5 * (up + down) if up != down else 0.9 * up):
-        assert deviation_rate_infimum(P, cu, eps) == reference_deviation_rate_infimum(P, cu, eps)
+        e = deviation_rate_infimum(P, cu, eps)
+        ref = reference_deviation_rate_infimum(P, cu, eps)
+        assert ref - 1e-12 <= e <= ref + 1e-10
 
 
 def boundary_point(P, cu, sign, eps):
@@ -145,12 +148,84 @@ def test_two_state_infimum_is_the_rate_at_the_boundary_points(chain):
     for eps in (0.2 * min(up, down), 0.5 * (up + down), reach):
         sides = [sign for sign, r in ((1.0, up), (-1.0, down)) if eps <= r + 1e-15]
         e = deviation_rate_infimum(P, cu, eps)
-        assert e == min(rate_function(P, boundary_point(P, cu, sign, eps)).value for sign in sides)
-        # the scan over the band that this replaced agrees to rounding
+        rates = [rate_function(P, boundary_point(P, cu, sign, eps)).value for sign in sides]
+        assert e == pytest.approx(min(rates), abs=1e-12)
+        # and the reference's scan over the band
         assert e == pytest.approx(reference_deviation_rate_infimum(P, cu, eps), abs=1e-12)
-    # at eps = reach the boundary point is the vertex of the farther side
+    # at eps = reach the boundary point is the vertex x of the farther side,
+    # whose rate is -ln P(x, x)
+    x = int(np.argmax(cu)) if up >= down else int(np.argmin(cu))
     vertex = np.zeros(2)
-    vertex[int(np.argmax(cu)) if up >= down else int(np.argmin(cu))] = 1.0
-    assert deviation_rate_infimum(P, cu, reach) == rate_function(P, vertex).value
+    vertex[x] = 1.0
+    assert deviation_rate_infimum(P, cu, reach) == pytest.approx(rate_function(P, vertex).value, abs=1e-12)
+    assert deviation_rate_infimum(P, cu, reach) == pytest.approx(-math.log(P[x, x]), abs=1e-15)
     with pytest.raises(EmptyDeviationSet):
         deviation_rate_infimum(P, cu, reach + 1e-12)
+
+
+def eigenvalue_dual(P, c, a, thetas):
+    """max over the grid of theta a - ln rho(P diag(e^{theta c})), with rho
+    from numpy's dense eigenvalues."""
+    top = float(c.max())
+    Q = P[None, :, :] * np.exp(thetas[:, None] * (c - top))[:, None, :]
+    rho = np.abs(np.linalg.eigvals(Q)).max(axis=1)
+    return float((thetas * (a - top) - np.log(rho)).max())
+
+
+@pytest.mark.parametrize("n_states, seed", [(3, 3), (4, 2), (6, 1)])
+def test_dual_agrees_with_an_eigenvalue_grid(n_states, seed):
+    P, cu = policy_chain(n_states, seed)
+    m, up, down = side_reaches(P, cu)
+    thetas = np.linspace(0.0, 60.0 / (cu.max() - cu.min()), 100_001)
+    for eps in (0.2 * min(up, down), 0.7 * max(up, down)):
+        sides = [(c, sm + eps) for c, sm, r in ((cu, m, up), (-cu, -m, down)) if eps <= r]
+        grid = min(eigenvalue_dual(P, c, a, thetas) for c, a in sides)
+        e = deviation_rate_infimum(P, cu, eps)
+        assert grid - 1e-12 <= e <= grid + 1e-7
+
+
+def test_tied_top_rewards_at_reach_read_the_top_block():
+    P = np.array(
+        [
+            [0.30, 0.25, 0.25, 0.20],
+            [0.10, 0.20, 0.40, 0.30],
+            [0.15, 0.05, 0.50, 0.30],
+            [0.10, 0.10, 0.30, 0.50],
+        ]
+    )
+    cu = np.array([1.0, 1.0, 0.2, 0.0])
+    m, up, down = side_reaches(P, cu)
+    assert up > down  # only the upper side is feasible at its reach
+    rho = float(np.abs(np.linalg.eigvals(P[:2, :2])).max())
+    assert deviation_rate_infimum(P, cu, up) == pytest.approx(-math.log(rho), abs=1e-12)
+
+
+def test_small_gap_near_reach_matches_reference():
+    # the two lowest rewards are 0.0078 apart, so the optimal theta is large
+    m = gen_model({"n_states": 4, "n_actions": 1, "min_entry": 0.02, "seed": 100})
+    P, cu = m.kernel[0], m.reward[:, 0]
+    _, up, down = side_reaches(P, cu)
+    assert down > up and np.sort(cu)[1] - cu.min() < 0.01
+    for eps in (0.999 * down, down):
+        e = deviation_rate_infimum(P, cu, eps)
+        assert e == pytest.approx(reference_deviation_rate_infimum(P, cu, eps), abs=1e-9)
+
+
+def test_near_periodic_tilt_matches_an_eigenvalue_grid():
+    # no self-loops: at large theta the tilt is nearly periodic (roots near
+    # +-rho), where plain power iteration stalls; nu.cu > 0.75 has no
+    # finite-rate distribution, so eps = 0.249 puts the optimum far out
+    P = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    cu = np.array([1.0, 0.5, 0.0])
+    eps = 0.249
+    thetas = np.linspace(0.0, 400.0, 200_001)
+    grid = min(eigenvalue_dual(P, c, a, thetas) for c, a in ((cu, 0.5 + eps), (-cu, -0.5 + eps)))
+    assert grid - 1e-12 <= deviation_rate_infimum(P, cu, eps) <= grid + 1e-7
+
+
+def test_transient_state_reads_the_largest_class_root():
+    # state 0 is transient; staying there half the time costs (ln 2) / 2,
+    # and the tilt's Perron vector vanishes on state 1 beyond theta = ln 2
+    P = np.array([[0.5, 0.5], [0.0, 1.0]])
+    e = deviation_rate_infimum(P, np.array([1.0, 0.0]), 0.5)
+    assert 0.5 * math.log(2.0) - 1e-8 <= e <= 0.5 * math.log(2.0) + 1e-15

@@ -261,6 +261,12 @@ def test_discounted_optimality_check_two_actions(two_action_model, hyperbolic):
     assert rep.passed
 
 
+def test_discounted_optimality_check_needs_a_horizon(reference_model, hyperbolic):
+    # an empty grid used to raise a bare ValueError from max()
+    with pytest.raises(InvalidModel, match="at least one horizon"):
+        discounted_optimality_check(reference_model, hyperbolic, 0, [], panel_size=2)
+
+
 def test_adversarial_policy_stays_below_gain(reference_model, hyperbolic):
     # with c = (1, 0) the empirical value of any policy is below the gain plus slack;
     # a reward-minimizing kernel row keeps it strictly below

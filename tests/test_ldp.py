@@ -11,6 +11,7 @@ from longrun import (
     InvalidModel,
     Model,
     StationaryPolicy,
+    TabulatedSchedule,
     UnitSchedule,
     deviation_rate_infimum,
     dv_supermartingale_check,
@@ -259,6 +260,12 @@ def test_upper_bound_check_requires_finite_nonnegative_kappa(unit):
             ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), kappa, unit, 0, [4])
 
 
+def test_upper_bound_check_needs_a_horizon(unit):
+    # an empty grid would pass without a single row
+    with pytest.raises(InvalidModel, match="at least one horizon"):
+        ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), 0.02, unit, 0, [])
+
+
 # ------------------------------------------------ deviation rates and margins
 
 
@@ -271,6 +278,11 @@ def test_deviation_rate_requires_finite_eps():
     for eps in (float("nan"), float("inf"), 0.0, -0.1):
         with pytest.raises(InvalidModel):
             deviation_rate_infimum(REF_P, np.array([1.0, 0.0]), eps)
+    # a non-finite reward is a bad input, not an empty deviation set
+    P3 = random_model(1).policy_kernel(StationaryPolicy([0, 0, 0]))
+    for P, cu in ((REF_P, [math.nan, 0.0]), (REF_P, [math.inf, 0.0]), (P3, [math.nan, 0.0, 1.0])):
+        with pytest.raises(InvalidModel):
+            deviation_rate_infimum(P, np.array(cu), 0.1)
 
 
 def test_deviation_rate_reference_value():
@@ -359,6 +371,16 @@ def _boundary_probes(P, cu, m0, eps, mu):
         if 0.0 <= t <= 1.0:
             out.append(mu + t * (point - mu))
     return out
+
+
+def test_zero_schedule_mass_is_refused(reference_model, reference_policy):
+    # phi vanishes on the window [1, 4): the margin's slack and the decay
+    # column of the deviation bound divided by zero
+    sched = TabulatedSchedule([1.0, 0.0, 0.0, 0.0], tail_divergent=True)
+    with pytest.raises(InvalidModel, match="schedule mass"):
+        near_optimality_margin(reference_model, reference_policy, sched, 0.1, -0.001, 1, 3)
+    with pytest.raises(InvalidModel, match="schedule mass"):
+        ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), 0.02, sched, 1, [3])
 
 
 def test_margin_constant_reward_any_gamma(hyperbolic):
