@@ -146,10 +146,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
 def invariant_measure(model: Model, policy: StationaryPolicy) -> np.ndarray:
     """Invariant measure of the chain controlled by a stationary policy."""
-    P = model.policy_kernel(policy)
-    if model.under_policy(policy).ergodicity >= 1.0:
+    sub = model.under_policy(policy)
+    if sub.ergodicity >= 1.0:
         raise NotErgodic("policy kernel has ergodicity coefficient >= 1")
-    return stationary_distribution(P)
+    return stationary_distribution(sub.kernel[0])
 
 
 def poisson_solve(model: Model, policy: StationaryPolicy, tol: float = 1e-10) -> SpanSolution:

@@ -2,11 +2,11 @@
 finite-horizon large-deviation upper bounds for a fixed Markov kernel.
 
 Everything here concerns a single uncontrolled chain P (typically a policy
-kernel).  The rate function is evaluated by one multi-start concave
-maximization over log test functions.  The deviation-set infimum is its
-Legendre dual, a one-dimensional maximization over the tilt on each side of
-the band, evaluated with the upper Collatz-Wielandt bound on the Perron root
-that risk_solver.perron_oracle also uses, so it is a certified lower bound.
+kernel).  The rate function is one seeded multi-start concave maximization
+over log test functions, for any number of states, polished from its best
+point.  The deviation-set infimum is its Legendre dual, maximized over the
+tilt on each side of the band with the upper Collatz-Wielandt bound on the
+Perron root that risk_solver.perron_oracle also uses: a certified lower bound.
 The deviation-probability bounds are verified exactly, by the exact risk
 evaluator for the exponential-martingale inequality and by full path
 enumeration for event probabilities.  Each public function checks its kernel
@@ -28,7 +28,6 @@ from .errors import (
     EnumerationTooLarge,
     GammaOutOfRange,
     InvalidModel,
-    NoConvergence,
     NotErgodic,
 )
 from .model import (
@@ -121,46 +120,41 @@ def _rate_objective(g: np.ndarray, P: np.ndarray, nu: np.ndarray):
     return val, grad
 
 
-def _ascend(P: np.ndarray, nu: np.ndarray, hi: float, starts) -> tuple:
-    best_val = -math.inf
-    best_g = None
-    bounds = [(0.0, hi)] * P.shape[0]
-    for g0 in starts:
-        res = optimize.minimize(
-            lambda g: tuple(-t for t in _rate_objective(g, P, nu)),
+def _projected(g: np.ndarray, P: np.ndarray, nu: np.ndarray, hi: float) -> tuple:
+    """Objective at g and the sup norm of its gradient projected on the box
+    [0, hi]^s: components pushing outside the box do not count."""
+    val, grad = _rate_objective(g, P, nu)
+    grad[(g <= 0.0) & (grad < 0)] = 0.0
+    grad[(g >= hi) & (grad > 0)] = 0.0
+    return val, float(np.abs(grad).max())
+
+
+def _ascend(P: np.ndarray, nu: np.ndarray, hi: float, starts, scale: float = 1.0, options=None) -> np.ndarray:
+    """Best end point of L-BFGS-B ascents from each start over the box
+    [0, hi]^s, run on the objective divided by scale."""
+    results = [
+        optimize.minimize(
+            lambda g: tuple(-t / scale for t in _rate_objective(g, P, nu)),
             np.clip(g0, 0.0, hi),
             jac=True,
             method="L-BFGS-B",
-            bounds=bounds,
+            bounds=[(0.0, hi)] * P.shape[0],
+            options=options,
         )
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_g = res.x
-    return best_val, best_g
-
-
-def _grid_best_2(P: np.ndarray, nu: np.ndarray, hi: float, step: float = 1e-4) -> tuple:
-    """Exhaustive scan over the 2-state family g = (0, t); the best value and
-    its g, shifted into the box as (max(0, -t), max(0, t))."""
-    with np.errstate(divide="ignore"):
-        logP = np.log(P)
-    ts = np.arange(-hi, hi + step / 2, step)
-    vals = nu[1] * ts - (
-        nu[0] * np.logaddexp(logP[0, 0], logP[0, 1] + ts)
-        + nu[1] * np.logaddexp(logP[1, 0], logP[1, 1] + ts)
-    )
-    j = int(np.argmax(vals))
-    return float(vals[j]), np.array([max(0.0, -ts[j]), max(0.0, ts[j])])
+        for g0 in starts
+    ]
+    return min(results, key=lambda res: res.fun).x
 
 
 def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int = 0) -> RateReport:
     """Donsker-Varadhan rate of nu against the kernel P.
 
     Maximizes nu.ln(f) - nu.ln(Pf) over positive test functions f = e^g.
-    The objective is invariant under scaling f, so g is searched in the box
-    [0, ln d]^s (an unconstrained search uses a wide fixed box); for two
-    states an exhaustive grid over the one free coordinate backs the ascent.
-    The value is zero exactly at invariant measures.
+    The objective is concave in g and invariant under scaling f, so g is
+    searched in the box [0, ln d]^s (an unconstrained search uses a wide fixed
+    box) by one seeded multi-start ascent, for any number of states, whose
+    best point tight ascents then polish.  The maximizer's ratio max f / min f
+    is at most d.  The value is zero exactly at invariant measures.
     """
     P = _require_ergodic(P)
     nu = np.asarray(nu, dtype=float)
@@ -171,25 +165,27 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     if d is not None and not d > 1.0:
         raise InvalidModel("ratio constraint d must exceed 1")
     hi = math.log(d) if d is not None else _LOG_BOX
+    if d is not None and np.exp(hi) > d:
+        # one ulp lower keeps the maximizer's ratio e^(max g - min g) <= d
+        hi = math.nextafter(hi, 0.0)
     rng = np.random.default_rng(seed)
     s = P.shape[0]
     starts = [np.zeros(s)] + [rng.uniform(0.0, hi, size=s) for _ in range(max(restarts - 1, 0))]
-    best_val, best_g = _ascend(P, nu, hi, starts)
-    if s == 2:
-        grid_val, grid_g = _grid_best_2(P, nu, hi)
-        polish_val, polish_g = _ascend(P, nu, hi, [grid_g])
-        for val, g in ((grid_val, grid_g), (polish_val, polish_g)):
-            if g is not None and val > best_val:
-                best_val, best_g = val, g
-    _, grad = _rate_objective(best_g, P, nu)
-    # projected gradient: components pushing outside the box do not count
-    proj = grad.copy()
-    proj[(best_g <= 0.0) & (grad < 0)] = 0.0
-    proj[(best_g >= hi) & (grad > 0)] = 0.0
-    grad_norm = float(np.abs(proj).max())
+    best_g = _ascend(P, nu, hi, starts)
+    # tight ascents from the best point, restarted while they raise the value,
+    # close the gap the loose multi-start leaves.  Each divides the objective
+    # and gtol by the projected gradient's norm: on a boxed problem L-BFGS-B's
+    # first step is the gradient itself, too short to move a flat value (tiny nu)
+    value, grad_norm = _projected(best_g, P, nu, hi)
+    while grad_norm > 1e-15:
+        g = _ascend(P, nu, hi, [best_g], grad_norm, {"ftol": 1e-15, "gtol": 1e-15 / grad_norm})
+        val, norm = _projected(g, P, nu, hi)
+        if not val > value:
+            break
+        value, grad_norm, best_g = val, norm, g
     return RateReport(
         nu=nu,
-        value=float(best_val),
+        value=value,
         maximizer=np.exp(best_g - best_g.min()),
         d_constraint=d,
         restarts=len(starts),
@@ -351,9 +347,10 @@ def deviation_rate_infimum(P, cu, eps: float) -> float:
     with c = +-cu and a = +-mu.cu + eps, has infimum
     sup_{theta >= 0} theta a - ln rho(P diag(e^{theta c})).  Any theta with
     the upper Collatz-Wielandt bound on rho (the power iteration that
-    perron_oracle shares) bounds it from below, up to rounding.  The value is
-    inf at a side's reach when the chain cannot stay on its extreme states.
-    Raises EmptyDeviationSet when eps exceeds the achievable deviation.
+    perron_oracle shares) bounds it from below, up to rounding, and so does 0
+    when the rate is below the bracket's resolution.  The value is inf at a
+    side's reach when the chain cannot stay on its extreme states.  Raises
+    EmptyDeviationSet when eps exceeds the achievable deviation.
     """
     P = _require_ergodic(P)
     cu = np.asarray(cu, dtype=float)
@@ -366,20 +363,18 @@ def deviation_rate_infimum(P, cu, eps: float) -> float:
     reach = max(side_reach for _, side_reach in sides)
     if eps > reach + 1e-15:
         raise EmptyDeviationSet(f"eps {eps} exceeds the achievable deviation {reach}")
-    best = min(_dual_side(P, c, side_reach - eps) for c, side_reach in sides if eps <= side_reach + 1e-15)
-    if best <= 0.0:
-        raise NoConvergence("rate infimum over the deviation set came out nonpositive")
-    return best
+    return max(0.0, min(_dual_side(P, c, side_reach - eps) for c, side_reach in sides if eps <= side_reach + 1e-15))
 
 
 def _dual_side(P: np.ndarray, c: np.ndarray, room: float) -> float:
     """Lower bound on inf{I(nu) : nu.c >= max c - room}.
 
     Maximizes -theta room - ln hi(theta) by bounded Brent, with hi(theta) the
-    upper Collatz-Wielandt bound on rho(P diag(e^{theta (c - max c)})), the
-    largest over P's communicating classes, where the lazy power iteration
-    converges even if transient states make P reducible.  At room <= 0 the
-    supremum is its limit, -ln rho of P on the states of maximal c.
+    upper Collatz-Wielandt bound on rho(P diag(e^{theta (c - max c)})) from
+    the power iteration perron_oracle shares, taken at a relative gap of
+    1e-14 and largest over P's communicating classes, which are irreducible
+    even if transient states make P reducible.  At room <= 0 the supremum is
+    its limit, -ln rho of P on the states of maximal c.
     """
     d = c - float(c.max())
     if room <= 0.0:
@@ -392,7 +387,7 @@ def _dual_side(P: np.ndarray, c: np.ndarray, room: float) -> float:
         # exponents above the underflow of exp keeps P's classes and only
         # raises hi, so the bound stays valid
         Q = P * np.exp(np.maximum(theta * d, -700.0))
-        hi = max(_collatz_wielandt(Q[np.ix_(k, k)], 1e-14, lazy=True)[1] for k in classes)
+        hi = max(_collatz_wielandt(Q[np.ix_(k, k)], 1e-14)[1] for k in classes)
         return -theta * room - math.log(hi) if hi > 0.0 else math.inf
 
     if room <= 0.0:

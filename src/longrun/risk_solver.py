@@ -202,36 +202,35 @@ def perron_oracle(
 
     The gain equals (1/gamma) ln rho(Q) for Q(x, y) = exp(gamma c(x, u(x)))
     P_u(x, y).  Computed by the Collatz-Wielandt power iteration that ldp
-    shares, on the rescaled matrix exp(gamma (c - max c)) P_u.  Independent
-    of the log-space span iteration.
+    shares, on the rescaled matrix exp(gamma (c - max c)) P_u, to a relative
+    bracket gap tol.  Independent of the log-space span iteration.
     """
     gamma = _check_gamma(gamma)
-    if model.under_policy(policy).ergodicity >= 1.0:
+    sub = model.under_policy(policy)
+    if sub.ergodicity >= 1.0:
         raise NotErgodic("policy kernel has ergodicity coefficient >= 1")
-    P = model.policy_kernel(policy)
-    c = model.policy_reward(policy)
+    c = sub.reward[:, 0]
     c_max = float(c.max())
-    lo, hi = _collatz_wielandt(np.exp(gamma * (c - c_max))[:, None] * P, tol, max_iter)
+    lo, hi = _collatz_wielandt(np.exp(gamma * (c - c_max))[:, None] * sub.kernel[0], tol, max_iter)
     return c_max + math.log(0.5 * (lo + hi)) / gamma
 
 
-def _collatz_wielandt(Q: np.ndarray, tol: float, max_iter: int = 1_000_000, lazy: bool = False) -> tuple:
+def _collatz_wielandt(Q: np.ndarray, tol: float, max_iter: int = 1_000_000) -> tuple:
     """Bracket lo <= rho(Q) <= hi of a nonnegative matrix by power iteration.
 
     lo and hi are the min and max of Qv / v at the current positive iterate
-    v, so both hold at every step; stops once hi - lo <= tol max(hi, 1).  A
-    lazy iteration steps with Q + (hi / 4) I, which converges for periodic
-    irreducible Q too, and stops once hi - lo <= tol hi.
+    v, so both hold at every step.  Each step multiplies by Q + (hi / 4) I,
+    which converges for periodic irreducible Q too; stops once
+    hi - lo <= tol hi, a relative gap however small rho(Q) is.
     """
     v = np.ones(Q.shape[0]) / Q.shape[0]
     for _ in range(max_iter):
         qv = Q @ v
         ratios = qv / v
         lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * (hi if lazy else max(hi, 1.0)):
+        if hi - lo <= tol * hi:
             return lo, hi
-        if lazy:
-            qv += 0.25 * hi * v
+        qv += 0.25 * hi * v
         v = qv / qv.sum()
     raise NoConvergence("power iteration did not bracket the Perron root")
 

@@ -300,6 +300,16 @@ def test_ldp_check_margin_with_negative_gamma(tmp_path):
     assert "result: PASS" in text
 
 
+def test_ldp_check_margin_at_tiny_epsilon_exits_3_with_the_reason(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["gen-model", "--states", "3", "--actions", "2", "--min-entry", "0.05", "--seed", "7",
+                 "--out", str(out)]) == 0
+    code = main(["ldp-check", "--model", str(out / "model.json"), "--gamma=-0.01", "--epsilon", "1e-8",
+                 "--out", str(tmp_path / "m")])
+    assert code == 3
+    assert "is not below the rate threshold 0.0" in capsys.readouterr().err
+
+
 def test_ldp_check_reports_a_failed_margin(model_file, tmp_path, monkeypatch):
     def failing_margin(model, policy, schedule, eps, gamma, k, n):
         report = MarginReport(lam_u=0.5, rate_infimum=0.2, slack=0.01, eps=eps, gamma=gamma, values=[0.1, 0.2],

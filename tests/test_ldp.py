@@ -1,7 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special
 
 from longrun import (
     EmptyDeviationSet,
@@ -24,6 +28,8 @@ from longrun import (
     weighted_empirical,
 )
 
+from longrun.cli import gen_model
+
 from conftest import random_model
 
 REF_P = np.array([[0.75, 0.25], [0.5, 0.5]])
@@ -39,6 +45,32 @@ def grid_rate_oracle(P, nu, hi, step=2e-5):
         + nu[1] * np.logaddexp(logP[1, 0], logP[1, 1] + ts)
     )
     return float(vals.max())
+
+
+def bounded_rate_reference(P, nu, hi):
+    """Supremum of the concave 2-state objective over g = (0, t), t in [-hi, hi].
+
+    Candidates are both endpoints and the root of the derivative
+    nu1 expit(-t - a1) - nu0 expit(t + a0), a = ln P[:, 1] - ln P[:, 0], which
+    keeps its relative accuracy on flat slopes; each is valued in 30-digit
+    arithmetic, so the reference carries no rounding of its own."""
+    P = np.asarray(P, dtype=float)
+    a = np.log(P[:, 1]) - np.log(P[:, 0])
+
+    def slope(t):
+        return nu[1] * special.expit(-t - a[1]) - nu[0] * special.expit(t + a[0])
+
+    ts = [-hi, hi]
+    if slope(-hi) > 0.0 > slope(hi):
+        ts.append(optimize.brentq(slope, -hi, hi, xtol=1e-14))
+    with mpmath.workdps(30):
+        Pm, n = mpmath.matrix(P.tolist()), [mpmath.mpf(x) for x in nu]
+        values = [
+            n[1] * t - n[0] * mpmath.log(Pm[0, 0] + Pm[0, 1] * mpmath.exp(t))
+            - n[1] * mpmath.log(Pm[1, 0] + Pm[1, 1] * mpmath.exp(t))
+            for t in map(mpmath.mpf, ts)
+        ]
+        return float(max(values))
 
 
 # ------------------------------------------------------------------ measures
@@ -131,6 +163,46 @@ def test_rate_matches_independent_grid():
         got_d = rate_function(REF_P, np.array(nu), d=10.0).value
         want_d = grid_rate_oracle(REF_P, nu, hi=math.log(10.0))
         assert got_d == pytest.approx(want_d, abs=1e-6)
+
+
+def test_rate_two_state_stays_inside_the_ratio_box():
+    # a chain and measure on which a grid whose last point lies outside
+    # [-ln d, ln d] returned a ratio of 10.0003 and a value above the supremum
+    P = gen_model({"n_states": 2, "n_actions": 1, "min_entry": 0.02, "seed": 28}).kernel[0]
+    nu = np.array([0.02, 0.98])
+    rep = rate_function(P, nu, d=10.0)
+    ref = bounded_rate_reference(P, nu, math.log(10.0))
+    assert rep.maximizer.max() / rep.maximizer.min() <= 10.0 * (1.0 + 1e-12)
+    assert ref - 1e-12 <= rep.value <= ref + 1e-14
+
+
+@st.composite
+def chains(draw):
+    """A random kernel with 2 to 4 states and entries at least 0.01, a measure
+    on its states, and a ratio bound (None for none)."""
+    s = draw(st.integers(2, 4))
+    unit = st.floats(0.0, 1.0)
+    rows = np.array(draw(st.lists(st.lists(unit, min_size=s, max_size=s), min_size=s, max_size=s)))
+    P = 0.01 + (1.0 - 0.01 * s) * (rows + 1e-3) / (rows + 1e-3).sum(axis=1, keepdims=True)
+    w = np.array(draw(st.lists(unit, min_size=s, max_size=s))) + 1e-9
+    return P, w / w.sum(), draw(st.sampled_from([None, 2.0, 10.0]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(chains())
+def test_rate_property_random_chains(case):
+    P, nu, d = case
+    rep = rate_function(P, nu, d=d)
+    f = rep.maximizer
+    if d is not None:
+        assert f.max() / f.min() <= d
+    assert rep.value == pytest.approx(float(nu @ np.log(f) - nu @ np.log(P @ f)), abs=1e-13)
+    if P.shape[0] == 2:
+        hi = math.log(d) if d is not None else 40.0
+        ref = bounded_rate_reference(P, nu, hi)
+        # the value is a float sum of terms as large as the box: allow two of
+        # their ulps of rounding above the exact supremum
+        assert ref - 1e-12 <= rep.value <= ref + 1e-14 + 2.0 * np.spacing(hi)
 
 
 def test_rate_rejects_bad_inputs():
@@ -296,6 +368,14 @@ def test_deviation_rate_reference_value():
     assert e == pytest.approx(min(lo, hi), abs=1e-8)
 
 
+def test_deviation_rate_below_the_bracket_resolution_is_zero():
+    # a rate of order eps^2 under the relative resolution of the
+    # Collatz-Wielandt bracket leaves 0, still a lower bound, not an error
+    cu = np.array([1.0, 0.0])
+    assert deviation_rate_infimum(REF_P, cu, 1e-8) == 0.0
+    assert 0.0 <= deviation_rate_infimum(REF_P, cu, 1e-7) <= deviation_rate_infimum(REF_P, cu, 1e-6)
+
+
 def test_deviation_rate_shrinks_with_eps():
     cu = np.array([1.0, 0.0])
     vals = [deviation_rate_infimum(REF_P, cu, eps) for eps in (0.2, 0.1, 0.02)]
@@ -405,6 +485,11 @@ def test_margin_reference_passes(reference_model, reference_policy, hyperbolic):
 def test_margin_gamma_too_large(reference_model, reference_policy, hyperbolic):
     with pytest.raises(GammaOutOfRange):
         near_optimality_margin(reference_model, reference_policy, hyperbolic, 0.1, -10.0, 0, 100)
+
+
+def test_margin_below_the_rate_resolution_names_the_threshold(reference_model, reference_policy, hyperbolic):
+    with pytest.raises(GammaOutOfRange, match="rate threshold 0.0$"):
+        near_optimality_margin(reference_model, reference_policy, hyperbolic, 1e-8, -0.01, 0, 100)
 
 
 def test_margin_requires_negative_gamma(reference_model, reference_policy, hyperbolic):

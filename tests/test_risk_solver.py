@@ -133,6 +133,14 @@ def test_perron_matches_closed_form(reference_model, reference_policy):
         )
 
 
+def test_perron_relative_stop_when_the_root_is_tiny():
+    # rho(Q) is about 1e-6, far below the old absolute stopping gap tol * max(hi, 1)
+    P = np.array([[1e-6, 1.0 - 1e-6], [0.5, 0.5]])
+    c = np.array([0.0, -50.0])
+    m = Model(P[None, :, :], c[:, None])
+    assert perron_oracle(m, StationaryPolicy([0, 0]), 1.0) == pytest.approx(closed_form_two_state(P, c, 1.0), abs=1e-12)
+
+
 def test_perron_tiny_gamma_recovers_average(reference_model, reference_policy):
     lam = perron_oracle(reference_model, reference_policy, 1e-6)
     assert lam == pytest.approx(2.0 / 3.0, abs=1e-5)
