@@ -347,7 +347,7 @@ def _task_verify(cfg: ExperimentConfig) -> int:
         return f"d={_fmt(rep.d)}, kappa={_fmt(rep.kappa)}, horizons={len(rep.rows)}"
 
     def _rate_zero():
-        rep = ldp.rate_function(P, mu, seed=cfg.seed)
+        rep = ldp.rate_function(P, mu)
         if rep.value > 1e-6:
             raise CheckFailed(f"rate at the invariant measure is {rep.value!r} > 1e-6")
         return f"I(mu)={_fmt(rep.value)}"
@@ -359,7 +359,7 @@ def _task_verify(cfg: ExperimentConfig) -> int:
         shift = min(0.05, nu[hi] / 2)
         nu[hi] -= shift
         nu[lo] += shift
-        rep = ldp.rate_function(P, nu, seed=cfg.seed)
+        rep = ldp.rate_function(P, nu)
         if rep.value < 1e-6:
             raise CheckFailed(f"rate away from the invariant measure is only {rep.value!r}")
         return f"I(nu)={_fmt(rep.value)} at TV={_fmt(shift)}"
@@ -396,7 +396,7 @@ def _task_ldp_check(cfg: ExperimentConfig) -> int:
         [(r.n, r.sum_phi, r.q_exact, r.bound, r.normalized_log_q) for r in rep.rows],
     )
     mu = average_solver.stationary_distribution(P)
-    rate = ldp.rate_function(P, mu, seed=cfg.seed)
+    rate = ldp.rate_function(P, mu)
     lines = [
         "task: ldp-check",
         f"f: {_vec(f)}",

@@ -2,11 +2,12 @@
 finite-horizon large-deviation upper bounds for a fixed Markov kernel.
 
 Everything here concerns a single uncontrolled chain P (typically a policy
-kernel).  The rate function is one seeded multi-start concave maximization
-over log test functions, for any number of states, polished from its best
-point.  The deviation-set infimum is its Legendre dual, maximized over the
-tilt on each side of the band with the upper Collatz-Wielandt bound on the
-Perron root that risk_solver.perron_oracle also uses: a certified lower bound.
+kernel).  The rate function is one projected Newton ascent of a concave
+objective over log test functions, for any number of states.  The
+deviation-set infimum is its Legendre dual, maximized by golden-section
+search over the tilt on each side of the band with the upper Collatz-Wielandt
+bound on the Perron root, taken class by class as risk_solver.perron_oracle
+also takes it: a certified lower bound.  The module needs numpy only.
 The deviation-probability bounds are verified exactly, by the exact risk
 evaluator for the exponential-martingale inequality and by full path
 enumeration for event probabilities.  Each public function checks its kernel
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.sparse import csgraph
 
 from .errors import (
     CheckFailed,
@@ -39,7 +38,7 @@ from .model import (
 )
 from .average_solver import stationary_distribution
 from .evaluator import exact_risk_value
-from .risk_solver import _collatz_wielandt
+from .risk_solver import _perron_bracket
 
 # search box for log test functions when no ratio constraint is given; the
 # value a capped search forgoes is below exp(-box) and thus far under any
@@ -47,6 +46,11 @@ from .risk_solver import _collatz_wielandt
 _LOG_BOX = 40.0
 
 _ENUM_CHUNK = 1 << 21
+
+# the gradient's entries are differences of probabilities: rounding leaves
+# them near the machine epsilon, below which no step can gain
+_GRAD_FLOOR = np.finfo(float).eps
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_ergodic(P) -> np.ndarray:
@@ -98,52 +102,15 @@ class RateReport:
 
     The reported value always equals the objective at the reported maximizer
     (a lower bound on the supremum); converged is False when the projected
-    gradient at the best point stayed large.
+    gradient at that point stayed large.
     """
 
     nu: np.ndarray
     value: float
     maximizer: np.ndarray
     d_constraint: float | None
-    restarts: int
     grad_norm: float
     converged: bool
-
-
-def _rate_objective(g: np.ndarray, P: np.ndarray, nu: np.ndarray):
-    """Objective nu.g - nu.ln(P e^g) and its gradient, computed with a shift."""
-    m = g.max()
-    u = np.exp(g - m)
-    pe = P @ u
-    val = float(nu @ g - m - nu @ np.log(pe))
-    grad = nu - u * (P.T @ (nu / pe))
-    return val, grad
-
-
-def _projected(g: np.ndarray, P: np.ndarray, nu: np.ndarray, hi: float) -> tuple:
-    """Objective at g and the sup norm of its gradient projected on the box
-    [0, hi]^s: components pushing outside the box do not count."""
-    val, grad = _rate_objective(g, P, nu)
-    grad[(g <= 0.0) & (grad < 0)] = 0.0
-    grad[(g >= hi) & (grad > 0)] = 0.0
-    return val, float(np.abs(grad).max())
-
-
-def _ascend(P: np.ndarray, nu: np.ndarray, hi: float, starts, scale: float = 1.0, options=None) -> np.ndarray:
-    """Best end point of L-BFGS-B ascents from each start over the box
-    [0, hi]^s, run on the objective divided by scale."""
-    results = [
-        optimize.minimize(
-            lambda g: tuple(-t / scale for t in _rate_objective(g, P, nu)),
-            np.clip(g0, 0.0, hi),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, hi)] * P.shape[0],
-            options=options,
-        )
-        for g0 in starts
-    ]
-    return min(results, key=lambda res: res.fun).x
 
 
 def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int = 0) -> RateReport:
@@ -152,43 +119,57 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     Maximizes nu.ln(f) - nu.ln(Pf) over positive test functions f = e^g.
     The objective is concave in g and invariant under scaling f, so g is
     searched in the box [0, ln d]^s (an unconstrained search uses a wide fixed
-    box) by one seeded multi-start ascent, for any number of states, whose
-    best point tight ascents then polish.  The maximizer's ratio max f / min f
-    is at most d.  The value is zero exactly at invariant measures.
+    box) by one projected Newton ascent from g = 0 (Bertsekas 1982) on the
+    Hessian Q^T diag(nu) Q - diag(nu Q), with Armijo backtracking along the
+    projected path.  The maximizer's ratio max f / min f is at most d.  The
+    value is zero exactly at invariant measures.  A concave problem needs no
+    restarts, so restarts and seed are accepted and not used.
     """
     P = _require_ergodic(P)
     nu = np.asarray(nu, dtype=float)
     if nu.shape != (P.shape[0],):
         raise InvalidModel("nu must be a probability vector over the kernel's states")
-    if (nu < -1e-12).any() or abs(nu.sum() - 1.0) > 1e-9:
+    if not np.isfinite(nu).all() or (nu < -1e-12).any() or abs(nu.sum() - 1.0) > 1e-9:
         raise InvalidModel("nu must be a probability vector")
-    if d is not None and not d > 1.0:
-        raise InvalidModel("ratio constraint d must exceed 1")
+    if d is not None and not 1.0 < d < math.inf:
+        raise InvalidModel("ratio constraint d must be finite and exceed 1")
     hi = math.log(d) if d is not None else _LOG_BOX
     if d is not None and np.exp(hi) > d:
         # one ulp lower keeps the maximizer's ratio e^(max g - min g) <= d
         hi = math.nextafter(hi, 0.0)
-    rng = np.random.default_rng(seed)
-    s = P.shape[0]
-    starts = [np.zeros(s)] + [rng.uniform(0.0, hi, size=s) for _ in range(max(restarts - 1, 0))]
-    best_g = _ascend(P, nu, hi, starts)
-    # tight ascents from the best point, restarted while they raise the value,
-    # close the gap the loose multi-start leaves.  Each divides the objective
-    # and gtol by the projected gradient's norm: on a boxed problem L-BFGS-B's
-    # first step is the gradient itself, too short to move a flat value (tiny nu)
-    value, grad_norm = _projected(best_g, P, nu, hi)
-    while grad_norm > 1e-15:
-        g = _ascend(P, nu, hi, [best_g], grad_norm, {"ftol": 1e-15, "gtol": 1e-15 / grad_norm})
-        val, norm = _projected(g, P, nu, hi)
-        if not val > value:
+    g, delta = np.zeros(P.shape[0]), 0.0
+    for _ in range(100):
+        # the step found last is taken here, so g, pe and Q always agree
+        g = g + delta
+        u = np.exp(g - g.max())
+        pe = P @ u
+        Q = P * u / pe[:, None]
+        grad = nu - nu @ Q
+        grad_norm = float(np.abs(g - np.clip(g + grad, 0.0, hi)).max())
+        if grad_norm <= _GRAD_FLOOR:
             break
-        value, grad_norm, best_g = val, norm, g
+        # bounds within grad_norm of g that the gradient pushes against are
+        # held and move along it; Newton runs on the rest, where lstsq skips
+        # the null direction of the shift
+        free = ~(((g <= grad_norm) & (grad < 0)) | ((g >= hi - grad_norm) & (grad > 0)))
+        hess = Q.T @ (nu[:, None] * Q) - np.diag(nu @ Q)
+        step = grad.copy()
+        step[free] = np.linalg.lstsq(-hess[np.ix_(free, free)], grad[free])[0]
+        for alpha in 0.5 ** np.arange(60):
+            delta = np.clip(g + alpha * step, 0.0, hi) - g
+            # the gain as one difference keeps its relative accuracy where the
+            # two values agree to their last bits
+            gain = nu @ delta - nu @ np.log1p(Q @ np.expm1(delta))
+            if gain > 0.0 and gain >= 1e-4 * (grad @ delta):
+                break
+        else:
+            break
+    value = float(nu @ g - g.max() - nu @ np.log(pe))
     return RateReport(
         nu=nu,
         value=value,
-        maximizer=np.exp(best_g - best_g.min()),
+        maximizer=np.exp(g - g.min()),
         d_constraint=d,
-        restarts=len(starts),
         grad_norm=grad_norm,
         converged=grad_norm <= 1e-6,
     )
@@ -346,7 +327,7 @@ def deviation_rate_infimum(P, cu, eps: float) -> float:
     By the contraction principle each side of the band, {nu : nu.c >= a}
     with c = +-cu and a = +-mu.cu + eps, has infimum
     sup_{theta >= 0} theta a - ln rho(P diag(e^{theta c})).  Any theta with
-    the upper Collatz-Wielandt bound on rho (the power iteration that
+    the upper Collatz-Wielandt bound on rho (the class-wise bracket that
     perron_oracle shares) bounds it from below, up to rounding, and so does 0
     when the rate is below the bracket's resolution.  The value is inf at a
     side's reach when the chain cannot stay on its extreme states.  Raises
@@ -369,25 +350,20 @@ def deviation_rate_infimum(P, cu, eps: float) -> float:
 def _dual_side(P: np.ndarray, c: np.ndarray, room: float) -> float:
     """Lower bound on inf{I(nu) : nu.c >= max c - room}.
 
-    Maximizes -theta room - ln hi(theta) by bounded Brent, with hi(theta) the
-    upper Collatz-Wielandt bound on rho(P diag(e^{theta (c - max c)})) from
-    the power iteration perron_oracle shares, taken at a relative gap of
-    1e-14 and largest over P's communicating classes, which are irreducible
-    even if transient states make P reducible.  At room <= 0 the supremum is
-    its limit, -ln rho of P on the states of maximal c.
+    Maximizes -theta room - ln hi(theta) by golden-section search, with
+    hi(theta) the class-wise upper bound of risk_solver._perron_bracket on
+    rho(P diag(e^{theta (c - max c)})) at a relative gap of 1e-14.  At
+    room <= 0 the supremum is its limit, -ln rho of P on the states of maximal c.
     """
     d = c - float(c.max())
     if room <= 0.0:
         P, d = P[np.ix_(d == 0.0, d == 0.0)], d[d == 0.0]
-    n_classes, labels = csgraph.connected_components(P > 0.0, connection="strong")
-    classes = [np.flatnonzero(labels == b) for b in range(n_classes)]
 
     def value(theta):
         # scaling columns keeps the top states' columns at P; clamping the
         # exponents above the underflow of exp keeps P's classes and only
         # raises hi, so the bound stays valid
-        Q = P * np.exp(np.maximum(theta * d, -700.0))
-        hi = max(_collatz_wielandt(Q[np.ix_(k, k)], 1e-14)[1] for k in classes)
+        hi = _perron_bracket(P * np.exp(np.maximum(theta * d, -700.0)), 1e-14)[1]
         return -theta * room - math.log(hi) if hi > 0.0 else math.inf
 
     if room <= 0.0:
@@ -398,10 +374,20 @@ def _dual_side(P: np.ndarray, c: np.ndarray, room: float) -> float:
     theta, f = 1.0 / gap, value(1.0 / gap)
     while theta * gap < 256.0 and (f2 := value(2.0 * theta)) > f:
         theta, f = 2.0 * theta, f2
-    res = optimize.minimize_scalar(
-        lambda t: -value(t), bounds=(0.0, 2.0 * theta), method="bounded", options={"xatol": 1e-10 / gap}
-    )
-    return max(f, -float(res.fun))
+    # golden-section search on [0, 2 theta]: the interior point x lies 0.382
+    # of the way from end a to end b (which may lie below a) and keeps the
+    # best value read; every value read is a lower bound
+    a, b = 0.0, 2.0 * theta
+    x = b - _GOLDEN * (b - a)
+    fx = value(x)
+    while abs(b - a) > 1e-10 / gap:
+        y = a + _GOLDEN * (b - a)
+        fy = value(y)
+        if fy > fx:
+            a, x, fx = x, y, fy
+        else:
+            a, b = y, a
+    return max(f, fx)
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def perron_oracle(
     """Fixed-policy risk-sensitive gain via the Perron root.
 
     The gain equals (1/gamma) ln rho(Q) for Q(x, y) = exp(gamma c(x, u(x)))
-    P_u(x, y).  Computed by the Collatz-Wielandt power iteration that ldp
+    P_u(x, y).  Computed by the class-wise Collatz-Wielandt bracket that ldp
     shares, on the rescaled matrix exp(gamma (c - max c)) P_u, to a relative
     bracket gap tol.  Independent of the log-space span iteration.
     """
@@ -211,8 +211,21 @@ def perron_oracle(
         raise NotErgodic("policy kernel has ergodicity coefficient >= 1")
     c = sub.reward[:, 0]
     c_max = float(c.max())
-    lo, hi = _collatz_wielandt(np.exp(gamma * (c - c_max))[:, None] * sub.kernel[0], tol, max_iter)
+    lo, hi = _perron_bracket(np.exp(gamma * (c - c_max))[:, None] * sub.kernel[0], tol, max_iter)
     return c_max + math.log(0.5 * (lo + hi)) / gamma
+
+
+def _perron_bracket(Q: np.ndarray, tol: float, max_iter: int = 1_000_000) -> tuple:
+    """Bracket lo <= rho(Q) <= hi of a nonnegative matrix: the largest
+    _collatz_wielandt bracket over the blocks of Q's communicating classes, as
+    rho(Q) is the largest of their roots (Seneta, Non-negative Matrices,
+    ch. 1).  A class is the states reachable both ways after ceil(log2 S)
+    squarings of (Q > 0) | I; an irreducible Q is one class, bit for bit."""
+    reach = (Q > 0.0) | np.eye(Q.shape[0], dtype=bool)
+    for _ in range(math.ceil(math.log2(Q.shape[0]))):
+        reach = reach @ reach
+    brackets = [_collatz_wielandt(Q[np.ix_(k, k)], tol, max_iter) for k in np.unique(reach & reach.T, axis=0)]
+    return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
 
 
 def _collatz_wielandt(Q: np.ndarray, tol: float, max_iter: int = 1_000_000) -> tuple:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,16 @@ from longrun.ldp import MarginReport
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the package and its CLI run on numpy
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import longrun, sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------ gen-model

@@ -210,6 +210,25 @@ def test_rate_rejects_bad_inputs():
         rate_function(REF_P, [0.7, 0.7])
     with pytest.raises(InvalidModel):
         rate_function(REF_P, [0.5, 0.5], d=0.5)
+    with pytest.raises(InvalidModel):
+        rate_function(REF_P, [math.nan, math.nan])
+    with pytest.raises(InvalidModel):
+        rate_function(REF_P, [0.5, 0.5], d=math.inf)
+
+
+@pytest.mark.parametrize(
+    "nu", [[3.3e-11, 0.514, 0.486], [6.0e-10, 6.2e-9, 0.896, 0.104]], ids=["3-states", "4-states"]
+)
+def test_rate_tiny_entry_reaches_the_supremum(nu):
+    # the flat direction of the tiny entry is ill-conditioned against the
+    # others; a concave objective is at its supremum over the box within the
+    # Frank-Wolfe gap sum_i max(grad_i (0 - g_i), grad_i (hi - g_i))
+    nu = np.array(nu) / sum(nu)
+    P = gen_model({"n_states": nu.size, "n_actions": 1, "min_entry": 0.02, "seed": 1}).kernel[0]
+    f = rate_function(P, nu).maximizer
+    g = np.log(f)
+    grad = nu - f * (P.T @ (nu / (P @ f)))
+    assert np.maximum(grad * -g, grad * (40.0 - g)).sum() <= 1e-13
 
 
 # ----------------------------------------------- exponential-martingale bound

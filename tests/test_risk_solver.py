@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,6 +140,31 @@ def test_perron_relative_stop_when_the_root_is_tiny():
     c = np.array([0.0, -50.0])
     m = Model(P[None, :, :], c[:, None])
     assert perron_oracle(m, StationaryPolicy([0, 0]), 1.0) == pytest.approx(closed_form_two_state(P, c, 1.0), abs=1e-12)
+
+
+def test_perron_transient_tilt_reads_the_largest_class_root():
+    # the transient state's tilted self-loop outweighs the recurrent class, so
+    # the Perron vector vanishes there and one power iteration never brackets
+    m = Model(np.array([[[0.5, 0.5], [0.0, 1.0]]]), np.array([[10.0], [0.0]]))
+    start = time.perf_counter()
+    lam = perron_oracle(m, StationaryPolicy([0, 0]), 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert lam == pytest.approx(10.0 + math.log(0.5), abs=1e-12)
+
+
+def test_perron_matches_eigvals_on_reducible_tilts():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        # two transient states lead into a closed three-state class
+        P = np.zeros((5, 5))
+        P[:2] = rng.random((2, 5))
+        P[2:, 2:] = rng.random((3, 3))
+        P /= P.sum(axis=1, keepdims=True)
+        c = 3.0 * rng.random(5)
+        m = Model(P[None, :, :], c[:, None])
+        for gamma in (-0.5, 0.5, 1.0):
+            rho = max(abs(np.linalg.eigvals(np.exp(gamma * c)[:, None] * P)))
+            assert perron_oracle(m, StationaryPolicy([0] * 5), gamma) == pytest.approx(math.log(rho) / gamma, abs=1e-12)
 
 
 def test_perron_tiny_gamma_recovers_average(reference_model, reference_policy):
