@@ -10,14 +10,17 @@ bound on the Perron root, taken class by class as risk_solver.perron_oracle
 also takes it: a certified lower bound.  The module needs numpy only.
 The deviation-probability bounds are verified exactly, by the exact risk
 evaluator for the exponential-martingale inequality and by full path
-enumeration for event probabilities.  Each public function checks its kernel
-once.
+enumeration for event probabilities.  The deviation-bound audit enumerates
+a start state in full only when a pruned bracket on its mass cannot rule it
+out as the worst one, so its rows equal the full per-start maximum bit for
+bit.  Each public function checks its kernel once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .model import (
 )
 from .average_solver import stationary_distribution
 from .evaluator import exact_risk_value
-from .risk_solver import _perron_bracket
+from .risk_solver import _communicating_classes, _perron_bracket
 
 # search box for log test functions when no ratio constraint is given; the
 # value a capped search forgoes is below exp(-box) and thus far under any
@@ -46,10 +49,19 @@ from .risk_solver import _perron_bracket
 _LOG_BOX = 40.0
 
 _ENUM_CHUNK = 1 << 21
+# relative slack between a pruned bracket's hi and the float mass of a full
+# enumeration: n * ROW_SUM_TOL of row sums plus the products' and the
+# pairwise sums' rounding, all below 1e-10 for n <= 22; the absolute term
+# covers subnormal rounding of at most 2^27 paths
+_MASS_SLACK = 1e-9
+_MASS_FLOOR = 1e-300
+# levels every start's bracket is deepened before the first exact enumeration
+_SHALLOW = 6
 
+_EPS = np.finfo(float).eps
 # the gradient's entries are differences of probabilities: rounding leaves
 # them near the machine epsilon, below which no step can gain
-_GRAD_FLOOR = np.finfo(float).eps
+_GRAD_FLOOR = _EPS
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -207,28 +219,86 @@ def dv_supermartingale_check(
     return SupermartingaleCheck(lhs=lhs, d_f=d_f, passed=lhs <= d_f + 1e-12)
 
 
-def _enumerate_mass(P, r, phi, j, n, probs, sums, last, threshold):
-    """Mass of length-n paths whose weighted r-sum reaches the threshold.
+def _expand(P: np.ndarray, step: np.ndarray, probs, sums, last):
+    """One level of the path tree: each node's children in state order.
+
+    last=None stands for a frontier whose last states cycle 0..s-1, as every
+    expansion that drops no zero-probability child leaves it; P's rows then
+    broadcast over the reshaped frontier, and P[last] is gathered otherwise.
+    The products and sums are the same floats either way.
+    """
+    s = P.shape[0]
+    if last is None:
+        probs = (probs.reshape(-1, s, 1) * P).ravel()
+    else:
+        probs = (probs[:, None] * P[last, :]).ravel()
+    sums = (sums[:, None] + step[None, :]).ravel()
+    keep = probs > 0.0
+    if keep.all():
+        return probs, sums, None
+    return probs[keep], sums[keep], np.tile(np.arange(s), keep.size // s)[keep]
+
+
+def _start(steps: np.ndarray, x: int) -> tuple:
+    """The frontier at depth 1 from x: its probability, partial sum and last state."""
+    return np.array([1.0]), steps[0, x:x + 1], np.array([x])
+
+
+def _enumerate_mass(P, steps, j, probs, sums, last, threshold):
+    """Mass of the length-n paths (n = len(steps)) whose weighted r-sum
+    reaches the threshold, from a frontier at depth j.
 
     Expands level by level; splits the frontier in half whenever the next
     expansion would exceed the chunk size, so memory stays bounded while the
     fixed index order keeps the accumulated sum deterministic.
     """
     s = P.shape[0]
-    while j < n:
+    while j < len(steps):
         if probs.size * s > _ENUM_CHUNK and probs.size > 1:
             half = probs.size // 2
-            return _enumerate_mass(P, r, phi, j, n, probs[:half], sums[:half], last[:half], threshold) + \
-                _enumerate_mass(P, r, phi, j, n, probs[half:], sums[half:], last[half:], threshold)
-        trans = P[last, :]
-        probs = (probs[:, None] * trans).ravel()
-        sums = (sums[:, None] + phi[j] * r[None, :]).ravel()
-        last = np.tile(np.arange(s), sums.size // s)
-        keep = probs > 0.0
-        if not keep.all():
-            probs, sums, last = probs[keep], sums[keep], last[keep]
+            if last is None and half % s:
+                last = np.tile(np.arange(s), probs.size // s)
+            heads = (None, None) if last is None else (last[:half], last[half:])
+            return _enumerate_mass(P, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
+                _enumerate_mass(P, steps, j, probs[half:], sums[half:], heads[1], threshold)
+        probs, sums, last = _expand(P, steps[j], probs, sums, last)
         j += 1
     return float(probs[sums >= threshold].sum())
+
+
+def _pruned_brackets(P, steps, x, threshold):
+    """Brackets lo <= q <= hi on the float mass q that _enumerate_mass returns
+    from start x, one level deeper at each yield.
+
+    A node is decided once its partial sum plus the remaining steps' least
+    (largest) total, less (plus) a margin covering the rounding of every sum
+    involved, is surely at or above (below) the threshold; decided-above
+    masses add to both ends by math.fsum, undecided ones to hi only, and
+    only undecided nodes are expanded.  The rounding of the exact
+    enumeration's products and sums, and row sums within ROW_SUM_TOL of 1,
+    move q by far less than _MASS_SLACK relative to hi.  Stops at depth n
+    or once the next level would exceed the chunk size.
+    """
+    s, n = P.shape[0], len(steps)
+    least, most = steps.min(axis=1), steps.max(axis=1)
+    rem_lo = np.append(np.cumsum(least[::-1])[::-1], 0.0)
+    rem_hi = np.append(np.cumsum(most[::-1])[::-1], 0.0)
+    margin = 8.0 * n * _EPS * (float(np.abs(steps).max(axis=1).sum()) + abs(threshold))
+    probs, sums, last = _start(steps, x)
+    decided, j = [], 1
+    while True:
+        above = sums + rem_lo[j] - margin >= threshold
+        open_ = ~above & (sums + rem_hi[j] + margin >= threshold)
+        decided.append(math.fsum(probs[above].tolist()))
+        lo = math.fsum(decided)
+        yield lo, math.fsum(decided + probs[open_].tolist())
+        if last is None:
+            last = np.tile(np.arange(s), probs.size // s)
+        probs, sums, last = probs[open_], sums[open_], last[open_]
+        if j == n or not probs.size or probs.size * s > _ENUM_CHUNK:
+            return
+        probs, sums, last = _expand(P, steps[j], probs, sums, last)
+        j += 1
 
 
 def exact_event_probability(
@@ -236,14 +306,19 @@ def exact_event_probability(
 ) -> float:
     """Exact P{ sum phi(i) ln(f/Pf)(X_i) >= kappa * sum phi } by enumeration.
 
-    Full path enumeration with exact probability accumulation; guarded to
-    n <= 20 in general and n <= 22 for two-state chains.
+    Full path enumeration from x, level by level in a fixed order, with
+    exact probability accumulation; guarded to n <= 20 in general and
+    n <= 22 for two-state chains, and to 2^27 paths.  The value is the
+    float that ldp_upper_bound_check maximizes over start states.
     """
-    return _event_probability(_require_ergodic(P), schedule, k, n, f, kappa, x)
+    P = _require_ergodic(P)
+    steps, threshold = _enumeration_inputs(P, schedule, k, n, f, kappa, x)
+    return _enumerate_mass(P, steps, 1, *_start(steps, x), threshold)
 
 
-def _event_probability(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int, f, kappa: float, x: int) -> float:
-    """exact_event_probability on a kernel that is already checked."""
+def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int, f, kappa: float, x: int = 0):
+    """The guards of an enumeration over horizon n on a checked kernel, then
+    its steps phi(k + i) ln(f/Pf) (one row per step) and its threshold."""
     s = P.shape[0]
     if not (n <= 20 or (s == 2 and n <= 22)):
         raise EnumerationTooLarge(f"horizon {n} with {s} states exceeds the enumeration guard")
@@ -257,9 +332,36 @@ def _event_probability(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int
     if f.shape != (s,) or not np.isfinite(f).all() or f.min() <= 0.0:
         raise InvalidModel("f must be a finite positive vector")
     r = np.log(f) - np.log(P @ f)
-    phi = schedule.phi_array(k, n)
-    threshold = kappa * phi_partial_sum(schedule, k, n)
-    return _enumerate_mass(P, r, phi, 1, n, np.array([1.0]), np.array([phi[0] * r[x]]), np.array([x]), threshold)
+    return schedule.phi_array(k, n)[:, None] * r, kappa * phi_partial_sum(schedule, k, n)
+
+
+def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> float:
+    """max over start states x of _enumerate_mass from x, bit for bit.
+
+    Every start's pruned bracket is deepened _SHALLOW levels; the start with
+    the highest bracket is enumerated exactly first.  Each other start is
+    deepened until its hi, inflated by _MASS_SLACK, falls below the best
+    exact mass so far, and enumerated exactly only if it never does, so ties
+    and overlapping brackets are enumerated.
+    """
+    s = P.shape[0]
+    brackets = [_pruned_brackets(P, steps, x, threshold) for x in range(s)]
+    shallow = [list(islice(b, _SHALLOW))[-1] for b in brackets]
+    order = sorted(range(s), key=lambda x: -sum(shallow[x]))
+
+    def ruled_out(hi, best):
+        # hi = 0 leaves no path at or above the threshold, so q = 0 exactly
+        return hi == 0.0 or hi * (1.0 + _MASS_SLACK) + _MASS_FLOOR < best
+
+    # a bracket's frontier is released as soon as its start is decided
+    brackets[order[0]].close()
+    best = _enumerate_mass(P, steps, 1, *_start(steps, order[0]), threshold)
+    for x in order[1:]:
+        skip = ruled_out(shallow[x][1], best) or any(ruled_out(hi, best) for _, hi in brackets[x])
+        brackets[x].close()
+        if not skip:
+            best = max(best, _enumerate_mass(P, steps, 1, *_start(steps, x), threshold))
+    return best
 
 
 @dataclass(frozen=True)
@@ -288,7 +390,11 @@ def ldp_upper_bound_check(
     For each horizon n the exact event probability (worst case over start
     states) must stay below d = max f / min f times the exponential factor;
     the rows also carry the normalized decay ln(Q) / sum phi for trend
-    inspection against the rate-function infimum.
+    inspection against the rate-function infimum.  Q is the maximum of
+    exact_event_probability over the start states, bit for bit, but a start
+    is enumerated in full only when its pruned bracket cannot certify it
+    below the largest mass found so far (_worst_start_mass).  The guards of
+    exact_event_probability apply to every row before any of its work.
     """
     Pm = _require_ergodic(P)
     if _finite_number(kappa, "kappa") < 0.0:
@@ -304,7 +410,7 @@ def ldp_upper_bound_check(
     rows = []
     for n in n_grid:
         norm = phi_partial_sum(schedule, k, n)
-        q = max(_event_probability(Pm, schedule, k, n, f, kappa, x) for x in range(Pm.shape[0]))
+        q = _worst_start_mass(Pm, *_enumeration_inputs(Pm, schedule, k, n, f, kappa))
         bound = d * math.exp(-kappa * norm)
         decay = math.log(q) / norm if q > 0.0 else -math.inf
         rows.append(
@@ -352,18 +458,23 @@ def _dual_side(P: np.ndarray, c: np.ndarray, room: float) -> float:
 
     Maximizes -theta room - ln hi(theta) by golden-section search, with
     hi(theta) the class-wise upper bound of risk_solver._perron_bracket on
-    rho(P diag(e^{theta (c - max c)})) at a relative gap of 1e-14.  At
-    room <= 0 the supremum is its limit, -ln rho of P on the states of maximal c.
+    rho(P diag(e^{theta (c - max c)})) at a relative gap of 1e-14.  P's
+    communicating classes are found once and reused for every tilt with P's
+    zero pattern.  At room <= 0 the supremum is its limit, -ln rho of P on
+    the states of maximal c.
     """
     d = c - float(c.max())
     if room <= 0.0:
         P, d = P[np.ix_(d == 0.0, d == 0.0)], d[d == 0.0]
+    pattern, classes = P > 0.0, _communicating_classes(P)
 
     def value(theta):
         # scaling columns keeps the top states' columns at P; clamping the
-        # exponents above the underflow of exp keeps P's classes and only
-        # raises hi, so the bound stays valid
-        hi = _perron_bracket(P * np.exp(np.maximum(theta * d, -700.0)), 1e-14)[1]
+        # exponents above the underflow of exp only raises hi, so the bound
+        # stays valid.  P's classes serve every tilt with P's zero pattern; a
+        # tilt where an entry of P e^-700 underflows finds its own
+        Q = P * np.exp(np.maximum(theta * d, -700.0))
+        hi = _perron_bracket(Q, 1e-14, classes=classes if ((Q > 0.0) == pattern).all() else None)[1]
         return -theta * room - math.log(hi) if hi > 0.0 else math.inf
 
     if room <= 0.0:

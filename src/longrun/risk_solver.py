@@ -215,17 +215,31 @@ def perron_oracle(
     return c_max + math.log(0.5 * (lo + hi)) / gamma
 
 
-def _perron_bracket(Q: np.ndarray, tol: float, max_iter: int = 1_000_000) -> tuple:
+def _perron_bracket(Q: np.ndarray, tol: float, max_iter: int = 1_000_000, classes=None) -> tuple:
     """Bracket lo <= rho(Q) <= hi of a nonnegative matrix: the largest
     _collatz_wielandt bracket over the blocks of Q's communicating classes, as
     rho(Q) is the largest of their roots (Seneta, Non-negative Matrices,
-    ch. 1).  A class is the states reachable both ways after ceil(log2 S)
-    squarings of (Q > 0) | I; an irreducible Q is one class, bit for bit."""
+    ch. 1); an irreducible Q is one class, bit for bit.  classes, when given,
+    is _communicating_classes of a matrix with Q's zero pattern."""
+    if classes is None:
+        classes = _communicating_classes(Q)
+    brackets = [_collatz_wielandt(Q[np.ix_(k, k)], tol, max_iter) for k in classes]
+    return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
+
+
+def _communicating_classes(Q: np.ndarray) -> np.ndarray:
+    """One boolean row per communicating class of a nonnegative matrix: the
+    states reachable both ways once squarings of (Q > 0) | I stop growing the
+    reachability, after at most ceil(log2 S) of them.  Each class is kept at
+    the row of its first state."""
     reach = (Q > 0.0) | np.eye(Q.shape[0], dtype=bool)
     for _ in range(math.ceil(math.log2(Q.shape[0]))):
-        reach = reach @ reach
-    brackets = [_collatz_wielandt(Q[np.ix_(k, k)], tol, max_iter) for k in np.unique(reach & reach.T, axis=0)]
-    return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
+        grown = reach @ reach
+        if (grown == reach).all():
+            break
+        reach = grown
+    mutual = reach & reach.T
+    return mutual[np.unique(mutual.argmax(axis=1))]
 
 
 def _collatz_wielandt(Q: np.ndarray, tol: float, max_iter: int = 1_000_000) -> tuple:

@@ -1,0 +1,254 @@
+"""ldp_upper_bound_check enumerates exactly only the start states that a
+pruned bracket cannot rule out, on a shared expansion step that broadcasts
+P's rows where the frontier is aligned.  The reference below is the full
+per-start enumeration it replaced; every row and every event probability
+must match it bit for bit (==, not approx).  The communicating classes of
+the Perron bracket are checked the same way against the full squaring."""
+
+import math
+
+import numpy as np
+import pytest
+
+from longrun import (
+    CheckFailed,
+    EnumerationTooLarge,
+    HyperbolicSchedule,
+    StationaryPolicy,
+    UnitSchedule,
+    exact_event_probability,
+    ldp_upper_bound_check,
+    phi_partial_sum,
+)
+from longrun import ldp, risk_solver
+from longrun.risk_solver import _collatz_wielandt, _perron_bracket
+
+from conftest import random_model
+
+
+def reference_enumerate_mass(P, r, phi, j, n, probs, sums, last, threshold, chunk):
+    s = P.shape[0]
+    while j < n:
+        if probs.size * s > chunk and probs.size > 1:
+            half = probs.size // 2
+            return reference_enumerate_mass(P, r, phi, j, n, probs[:half], sums[:half], last[:half], threshold, chunk) + \
+                reference_enumerate_mass(P, r, phi, j, n, probs[half:], sums[half:], last[half:], threshold, chunk)
+        trans = P[last, :]
+        probs = (probs[:, None] * trans).ravel()
+        sums = (sums[:, None] + phi[j] * r[None, :]).ravel()
+        last = np.tile(np.arange(s), sums.size // s)
+        keep = probs > 0.0
+        if not keep.all():
+            probs, sums, last = probs[keep], sums[keep], last[keep]
+        j += 1
+    return float(probs[sums >= threshold].sum())
+
+
+def reference_event_probability(P, schedule, k, n, f, kappa, x, chunk=ldp._ENUM_CHUNK):
+    r = np.log(f) - np.log(P @ f)
+    phi = schedule.phi_array(k, n)
+    threshold = kappa * phi_partial_sum(schedule, k, n)
+    return reference_enumerate_mass(
+        P, r, phi, 1, n, np.array([1.0]), np.array([phi[0] * r[x]]), np.array([x]), threshold, chunk
+    )
+
+
+def rows_of(P, f, kappa, schedule, k, n_grid):
+    # a row above its bound still carries the exact mass
+    try:
+        return ldp_upper_bound_check(P, f, kappa, schedule, k, n_grid).rows
+    except CheckFailed as exc:
+        return exc.report.rows
+
+
+def assert_rows_match(P, f, kappa, schedule, k, n_grid, chunk=ldp._ENUM_CHUNK):
+    P = ldp._require_ergodic(P)
+    for row in rows_of(P, f, kappa, schedule, k, n_grid):
+        qs = [reference_event_probability(P, schedule, k, row.n, f, kappa, x, chunk) for x in range(P.shape[0])]
+        assert row.q_exact == max(qs)
+    for x in range(P.shape[0]):
+        n = max(n_grid)
+        assert exact_event_probability(P, schedule, k, n, f, kappa, x) == \
+            reference_event_probability(P, schedule, k, n, f, kappa, x, chunk)
+
+
+def random_kernel(rng, s, zeros):
+    """A kernel whose rows all share one positive column, so it is ergodic;
+    with zeros, about a third of the other entries are zero."""
+    P = rng.random((s, s)) + 0.02
+    if zeros:
+        P[rng.random((s, s)) < 0.35] = 0.0
+        P[:, rng.integers(s)] = rng.random(s) + 0.05
+    return P / P.sum(axis=1, keepdims=True)
+
+
+SCHEDULES = [HyperbolicSchedule(1.0, 1.0), UnitSchedule(), HyperbolicSchedule(2.0, 0.5)]
+
+
+@pytest.mark.parametrize("shallow", [1, 6])
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_match_the_full_enumeration(monkeypatch, seed, zeros, shallow):
+    # one shallow level often orders the starts wrongly, so the later starts'
+    # brackets must rule them out or send them to the exact enumeration
+    monkeypatch.setattr(ldp, "_SHALLOW", shallow)
+    rng = np.random.default_rng([seed, zeros])
+    s = 2 + seed % 3
+    P = random_kernel(rng, s, zeros)
+    f = 1.0 + 2.0 * rng.random(s)
+    kappa = float(rng.uniform(0.0, 0.1))
+    n_grid = [1, 3, 6, 9] if s < 4 else [1, 4, 7]
+    assert_rows_match(P, f, kappa, SCHEDULES[seed % 3], seed % 2, n_grid)
+
+
+@pytest.mark.parametrize("chunk", [5, 7, 50, 301])
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
+def test_small_chunks_split_unaligned(monkeypatch, chunk, zeros):
+    # halves of size // 2 start mid-cycle, so the split gathers P[last]
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    rng = np.random.default_rng([chunk, zeros])
+    P = random_kernel(rng, 3, zeros)
+    f = np.array([2.0, 1.0, 1.5])
+    assert_rows_match(P, f, 0.02, HyperbolicSchedule(1.0, 1.0), 0, [2, 5, 7], chunk)
+
+
+def test_tied_starts_are_both_enumerated(monkeypatch):
+    # equal rows and equal f make starts 0 and 1 the same float computation
+    P = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+    f = np.array([2.0, 2.0, 1.0])
+    roots = []
+    inner = ldp._enumerate_mass
+
+    def counted(P, steps, j, *rest):
+        if j == 1:
+            roots.append(int(rest[2][0]))
+        return inner(P, steps, j, *rest)
+
+    monkeypatch.setattr(ldp, "_enumerate_mass", counted)
+    n = 9
+    sched = HyperbolicSchedule(1.0, 1.0)
+    qs = [reference_event_probability(P, sched, 0, n, f, 0.02, x) for x in range(3)]
+    assert qs[0] == qs[1] == max(qs)
+    (row,) = rows_of(P, f, 0.02, sched, 0, [n])
+    assert row.q_exact == max(qs)
+    assert {0, 1} <= set(roots)
+
+
+@pytest.mark.parametrize("side", ["min", "max"])
+@pytest.mark.parametrize("seed", range(4))
+def test_thresholds_at_the_extreme_path_sums(seed, side):
+    # every path sum is at least the all-min sum and at most the all-max
+    # sum: a threshold there, or an ulp away, is where rounding decides
+    rng = np.random.default_rng(seed)
+    s = 2 + seed % 3
+    P = ldp._require_ergodic(random_kernel(rng, s, seed % 2 == 1))
+    f = 1.0 + rng.random(s)
+    n = 6
+    sched = SCHEDULES[seed % 3]
+    steps, _ = ldp._enumeration_inputs(P, sched, 0, n, f, 0.0)
+    extreme = steps.min(axis=1) if side == "min" else steps.max(axis=1)
+    total = float(np.cumsum(extreme)[-1])
+    r = np.log(f) - np.log(P @ f)
+    phi = sched.phi_array(0, n)
+    for threshold in (math.nextafter(total, -math.inf), total, math.nextafter(total, math.inf)):
+        qs = [
+            reference_enumerate_mass(
+                P, r, phi, 1, n, np.array([1.0]), np.array([phi[0] * r[x]]), np.array([x]), threshold, ldp._ENUM_CHUNK
+            )
+            for x in range(s)
+        ]
+        assert ldp._worst_start_mass(P, steps, threshold) == max(qs)
+        for x, q in enumerate(qs):
+            for lo, hi in ldp._pruned_brackets(P, steps, x, threshold):
+                assert lo * (1.0 - ldp._MASS_SLACK) <= q <= hi * (1.0 + ldp._MASS_SLACK) + ldp._MASS_FLOOR
+
+
+@pytest.mark.parametrize("share", [0.7, 0.85, 1.0])
+def test_kappa_near_the_largest_step_matches(monkeypatch, share):
+    # near kappa = max r under the unit schedule every start's mass is small,
+    # and at max r only the path that stays on the top state can reach the
+    # threshold, and only through rounding
+    monkeypatch.setattr(ldp, "_SHALLOW", 1)
+    for seed in range(4):
+        P = random_model(seed).policy_kernel(StationaryPolicy([0, 0, 0]))
+        f = np.array([2.0, 1.0, 1.5])
+        r = np.log(f) - np.log(P @ f)
+        assert_rows_match(P, f, share * float(r.max()), UnitSchedule(), 0, [3, 6, 8])
+
+
+@pytest.mark.parametrize("seed", [64, 68, 104, 140, 242, 249])
+def test_small_masses_in_a_misleading_order_match(monkeypatch, seed):
+    # seeds where every start's mass is below 1e-3 and one shallow level
+    # puts a start ahead of the worst one
+    monkeypatch.setattr(ldp, "_SHALLOW", 1)
+    rng = np.random.default_rng(seed)
+    s = 2 + seed % 3
+    P = random_kernel(rng, s, False)
+    f = 1.0 + 2.0 * rng.random(s)
+    r = np.log(f) - np.log(ldp._require_ergodic(P) @ f)
+    assert_rows_match(P, f, float(rng.uniform(0.5, 1.0)) * float(r.max()), UnitSchedule(), 0, [6])
+
+
+def test_deviation_style_rows_match():
+    # the ldp-check default f on a 3 x 2 model at the horizons a config uses
+    P = random_model(7).policy_kernel(StationaryPolicy([0, 0, 0]))
+    assert_rows_match(P, np.array([2.0, 1.0, 1.0]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [8, 10, 12])
+
+
+def test_guard_raises_before_any_bracket_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumeration work started")
+
+    monkeypatch.setattr(ldp, "_pruned_brackets", forbidden)
+    monkeypatch.setattr(ldp, "_enumerate_mass", forbidden)
+    P = random_model(0).policy_kernel(StationaryPolicy([0, 0, 0]))
+    with pytest.raises(EnumerationTooLarge):
+        ldp_upper_bound_check(P, np.array([2.0, 1.0, 1.0]), 0.02, UnitSchedule(), 0, [21])
+
+
+# ------------------------------------------------ communicating classes
+
+
+def reference_perron_bracket(Q, tol):
+    reach = (Q > 0.0) | np.eye(Q.shape[0], dtype=bool)
+    for _ in range(math.ceil(math.log2(Q.shape[0]))):
+        reach = reach @ reach
+    brackets = [_collatz_wielandt(Q[np.ix_(k, k)], tol) for k in np.unique(reach & reach.T, axis=0)]
+    return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
+
+
+@pytest.mark.parametrize("kind", ["irreducible", "block-triangular"])
+@pytest.mark.parametrize("seed", range(5))
+def test_perron_bracket_matches_the_full_squaring(seed, kind):
+    rng = np.random.default_rng(seed)
+    s = 2 + 3 * seed
+    Q = rng.random((s, s))
+    if kind == "block-triangular":
+        # classes of sizes 1 to 3 along the diagonal, each reaching only later ones
+        cuts = np.cumsum(rng.integers(1, 4, size=s))
+        block = np.searchsorted(cuts, np.arange(s), side="right")
+        Q[block[:, None] > block[None, :]] = 0.0
+        Q[rng.random((s, s)) < 0.3] = 0.0
+        np.fill_diagonal(Q, rng.random(s) + 0.1)
+    gamma = rng.choice([-0.5, 0.5, 1.0])
+    Q = np.exp(gamma * rng.random(s))[:, None] * Q
+    assert _perron_bracket(Q, 1e-13) == reference_perron_bracket(Q, 1e-13)
+
+
+def test_dual_with_an_underflowing_entry_matches_per_read_classes(monkeypatch):
+    # the 1e-20 entry is the only way into state 2; tilts beyond theta ~ 0.7
+    # underflow it, and state 2 becomes a class of its own
+    P = np.array([[0.6, 0.4, 0.0], [0.5, 0.5, 1e-20], [0.3, 0.3, 0.4]])
+    c = np.array([1.0, 0.5, -999.0])
+    cases = [(c, room) for room in (1e-3, 0.05, 0.3)]
+    reused = []
+
+    def recording(Q, tol, classes=None):
+        reused.append(classes is not None)
+        return risk_solver._perron_bracket(Q, tol, classes=classes)
+
+    monkeypatch.setattr(ldp, "_perron_bracket", recording)
+    got = [ldp._dual_side(P, side, room) for side, room in cases]
+    assert any(reused) and not all(reused)
+    monkeypatch.setattr(ldp, "_perron_bracket", lambda Q, tol, classes=None: risk_solver._perron_bracket(Q, tol))
+    assert got == [ldp._dual_side(P, side, room) for side, room in cases]
