@@ -74,10 +74,20 @@ _NUMERIC_FIELDS = {
 # generator spec fields, all required, and their value type
 _GENERATOR_FIELDS = {"n_states": int, "n_actions": int, "min_entry": float, "seed": int}
 
+# the largest value a size field or each of its list items may take: above
+# it a run would take hours or exhaust memory.  Every value in the tests,
+# the README and the benchmark is below its cap; the exact ergodicity
+# coefficient of a 500 x 10 generated model takes about 10 s on a 2-vCPU VM.
+_SIZE_CAPS = {
+    "horizon": 100_000, "horizons": 100_000, "window": 10_000, "panel_size": 1_000, "reps": 10_000,
+    "n_states": 500, "n_actions": 10,
+}
+
 
 def _check_numeric_fields(values: dict, kinds: dict = _NUMERIC_FIELDS) -> None:
     """Refuse a numeric field or list item of another type, a non-finite
-    float and a negative seed.  A field whose default is None may be null."""
+    float, a negative seed and a size above its cap in _SIZE_CAPS.  A field
+    whose default is None may be null."""
     for name, kind in kinds.items():
         if name not in values or (values[name] is None and name in _NULLABLE_FIELDS):
             continue
@@ -96,6 +106,8 @@ def _check_numeric_fields(values: dict, kinds: dict = _NUMERIC_FIELDS) -> None:
                 _finite_number(item, name)
             elif name == "seed" and item < 0:
                 raise ConfigError(f"seed must be nonnegative, got {item!r}")
+            elif item > _SIZE_CAPS.get(name, item):
+                raise ConfigError(f"{name} must be at most {_SIZE_CAPS[name]}, got {item!r}")
 
 
 def _fmt(x) -> str:

@@ -44,7 +44,10 @@ class Model:
     (n_states, n_actions).  Instances are immutable (arrays are marked
     read-only) and safe to share between concurrent solvers.  The exact
     ergodicity coefficient is computed once per instance, on first read of
-    `ergodicity`, and lives as long as the instance.
+    `ergodicity`, and lives as long as the instance; ergodicity_coefficient
+    finds it from a float32 screen of half the row pairs and a float64
+    recheck of the few pairs the screen keeps, bit for bit the plain
+    per-pair maximum.
     """
 
     kernel: np.ndarray
@@ -393,6 +396,61 @@ def span_seminorm(v) -> float:
     return float(arr.max() - arr.min())
 
 
+_PAIR_BLOCK = 2**17  # entries of one block of row-pair differences
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error bound of a sum
+    of k + 1 nonnegative terms rounded with unit roundoff u, in any order."""
+    return k * u / (1.0 - k * u)
+
+
+def _screen_margin(s: int) -> float:
+    """Twice a bound E on |S - t| for two kernel rows p, q of length s, where
+    S is the float32 screen value of (p, q) and t the float64 value of
+    either (p, q) or (q, p), both as ergodicity_coefficient computes them.
+
+    Let T = sum_y (p(y) - q(y))^+ in exact arithmetic on the float64 rows.
+    Model admits a row only if its float64 sum is within ROW_SUM_TOL of 1;
+    that sum errs by at most gamma_{s-1} u64-relative, so every exact row
+    mass is at most R = 1 + ROW_SUM_TOL + s 2^-52.
+    - Screen.  Rounding to float32 moves an entry x by at most u32 x plus
+      2^-150 (half the least subnormal, for entries that underflow), and
+      (.)^+ is 1-Lipschitz: 2 u32 R + s 2^-149 in all.  The float32
+      subtraction is exact or off by u32 relative, which (.)^+ keeps, and
+      the terms sum to at most the rounded row mass Q = (1 + u32) R +
+      s 2^-150: u32 Q.  The float32 sum of s nonnegative terms, in any
+      order: gamma_{s-1} (1 + u32) Q.  Their total is E32 >= |S - T|.
+    - Float64 value.  The same argument without input rounding:
+      E64 = u64 R + gamma_{s-1} (1 + u64) R >= |t - T|.
+    - Row-sum asymmetry.  T(p, q) - T(q, p) = sum p - sum q exactly, so
+      the two orders differ by at most A = 2 (ROW_SUM_TOL + s 2^-52).
+    E = E32 + E64 + A, and the factor 2 covers the rounding of E itself
+    and of the float64 comparisons against it.
+    """
+    u32, u64 = 2.0**-24, 2.0**-53
+    mass = 1.0 + ROW_SUM_TOL + s * 2.0**-52
+    q = (1.0 + u32) * mass + s * 2.0**-150
+    e32 = 2.0 * u32 * mass + s * 2.0**-149 + u32 * q + _gamma(s - 1, u32) * (1.0 + u32) * q
+    e64 = u64 * mass + _gamma(s - 1, u64) * (1.0 + u64) * mass
+    return 2.0 * (e32 + e64 + 2.0 * (ROW_SUM_TOL + s * 2.0**-52))
+
+
+def _positive_part_sums(a: np.ndarray, b: np.ndarray, diff: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) block of sum_y (a_i(y) - b_j(y))^+, computed in
+    the reused buffers diff and sums (of the rows' dtype).
+
+    Each pair sum is one contiguous length-s reduction, so every float64
+    value is the plain per-pair sum bit for bit, whatever the block shape.
+    """
+    shape = (a.shape[0], b.shape[1], a.shape[2])
+    d = diff[: math.prod(shape)].reshape(shape)
+    t = sums[: shape[0] * shape[1]].reshape(shape[:2])
+    np.subtract(a, b, out=d)
+    np.maximum(d, 0.0, out=d)
+    return np.add.reduce(d, axis=2, out=t)
+
+
 def ergodicity_coefficient(model: Model) -> float:
     """Worst-case positive-part total-variation gap between any two kernel rows.
 
@@ -400,23 +458,57 @@ def ergodicity_coefficient(model: Model) -> float:
     mix different actions.  The value is always in [0, 1]; callers that need
     the uniform ergodicity condition must test for < 1 themselves.  Solvers
     read the per-instance cached value Model.ergodicity instead.
+
+    The result is bit for bit the float64 maximum of the plain per-pair sums
+    np.maximum(rows[i] - rows[j], 0).sum() over all ordered pairs, from a
+    certified screen followed by an exact recheck:
+    - Exact duplicate rows are dropped (their pair values repeat).
+    - Each row's cap, its float64 value against the column minima, bounds
+      all of its pair values: every operation is monotone.  Rows are taken
+      in decreasing cap order, and the search ends once no cap left exceeds
+      the best exact value.
+    - Each block of rows is screened in float32 against the rows from its
+      first row on, about half the pairs: for stochastic rows the two
+      orders of a pair differ by the row-sum difference only.
+      _screen_margin proves how far a screened value can lie from either
+      float64 order.  A pair is kept only when its screened value is within
+      two margins of the running top and within one margin of the best
+      exact value, so no pair that can attain the maximum is missed.
+    - Kept pairs are recomputed in both orders in float64, row block by row
+      block, with the same subtraction, positive part and contiguous
+      length-s reduction as the plain per-pair sum.
     """
-    rows = model.kernel.reshape(-1, model.n_states)
-    n, s = rows.shape
-    # one reused buffer of about 2**17 entries holds the pairwise differences
-    # of a block of rows; each pair sum stays one contiguous length-s
-    # reduction, so the value does not depend on the block size
-    chunk = min(n, max(1, 2**17 // (n * s)))
-    diff = np.empty((chunk, n, s))
-    sums = np.empty((chunk, n))
-    best = 0.0
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        d, t = diff[:m], sums[:m]
-        np.subtract(rows[lo : lo + m, None, :], rows[None, :, :], out=d)
-        np.maximum(d, 0.0, out=d)
-        np.add.reduce(d, axis=2, out=t)
-        best = max(best, float(t.max()))
+    s = model.n_states
+    rows = model.kernel.reshape(-1, s)
+    rows = np.unique(rows.view(np.dtype((np.void, rows.itemsize * s)))).view(float).reshape(-1, s)
+    n = rows.shape[0]
+    diff = np.empty(max(_PAIR_BLOCK, n * s))
+    sums = np.empty(max(_PAIR_BLOCK // s, n))
+    cap = _positive_part_sums(rows[:, None, :], rows.min(axis=0)[None, None, :], diff, sums)[:, 0]
+    order = np.argsort(-cap, kind="stable")
+    cap, rows = cap[order], rows[order]
+    screen = rows.astype(np.float32)
+    diff32, sums32 = np.empty(diff.size, np.float32), np.empty(sums.size, np.float32)
+    margin = _screen_margin(s)
+    best = top = 0.0
+    lo = 0
+    while lo < n and cap[lo] > best:
+        w = n - lo
+        m = min(w, max(1, _PAIR_BLOCK // (w * s)))
+        t = _positive_part_sums(screen[lo : lo + m, None, :], screen[None, lo:, :], diff32, sums32)
+        top = max(top, float(t.max()))
+        # a float64 threshold, so the float32 sums are compared unrounded
+        keep = t >= np.float64(max(top - 2.0 * margin, best - margin))
+        if keep.any():
+            # the block's rows with a kept pair, and their kept partners
+            rk, ck = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+            i0, i1, j0, j1 = lo + rk[0], lo + rk[-1] + 1, lo + ck[0], lo + ck[-1] + 1
+            alive = int(np.count_nonzero(cap > best))  # only these rows can still raise best
+            for (a0, a1), (b0, b1) in (((i0, i1), (j0, j1)), ((j0, j1), (i0, i1))):
+                if min(a1, alive) > a0:
+                    t64 = _positive_part_sums(rows[a0 : min(a1, alive), None, :], rows[None, b0:b1, :], diff, sums)
+                    best = max(best, float(t64.max()))
+        lo += m
     return best
 
 

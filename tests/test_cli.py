@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import longrun.cli
 import longrun.ldp
 from longrun import density_bounds, ergodicity_coefficient, load_model
 from longrun.cli import gen_model, main, parse_schedule_arg
@@ -173,6 +174,43 @@ def test_missing_model_exits_2(tmp_path, capsys):
         cfg.write_text(json.dumps({"model": {"path": path}}), encoding="utf-8")
         assert main(["solve-average", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+SIZE_CAPS = {"horizon": 100_000, "horizons": 100_000, "window": 10_000, "panel_size": 1_000, "reps": 10_000,
+             "n_states": 500, "n_actions": 10}
+
+
+def test_sizes_above_their_caps_exit_2(tmp_path, capsys, model_file):
+    assert longrun.cli._SIZE_CAPS == SIZE_CAPS  # the values the README documents
+    out = ["--model", model_file, "--out", str(tmp_path / "o")]
+    cfg = tmp_path / "cfg.json"
+    for task, doc in (
+        ("ldp-check", {"gamma": -0.01, "horizon": 100_001}),
+        ("evaluate", {"horizons": [10, 100_001]}),
+        ("solve-average", {"window": 10_001, "schedule": {"family": "hyperbolic", "h": 1.0, "r": 1.0}}),
+        ("verify", {"panel_size": 1_001}),
+        ("evaluate", {"reps": 10_001, "horizons": [10]}),
+    ):
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([task, "--config", str(cfg)] + out) == 2
+    assert main(["evaluate", "--horizon", "100001"] + out) == 2
+    assert main(["verify", "--horizons", "10,100001"] + out) == 2
+    assert main(["verify", "--panel-size", "1001"] + out) == 2
+    for field, value in (("n_states", 501), ("n_actions", 11)):
+        spec = {"n_states": 2, "n_actions": 1, "min_entry": 0.001, "seed": 0, field: value}
+        cfg.write_text(json.dumps({"model": {"generator": spec}}), encoding="utf-8")
+        for task in ("gen-model", "solve-average"):
+            assert main([task, "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+    assert main(["gen-model", "--states", "501", "--out", str(tmp_path / "g")]) == 2
+    assert main(["gen-model", "--states", "2", "--actions", "11", "--out", str(tmp_path / "g")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "n_actions must be at most 10, got 11" in err
+    # a value at its cap passes the check
+    longrun.cli._check_numeric_fields({"horizon": 100_000, "horizons": [1, 100_000], "window": 10_000,
+                                       "panel_size": 1_000, "reps": 10_000})
+    longrun.cli._check_numeric_fields({"n_states": 500, "n_actions": 10, "min_entry": 0.001, "seed": 0},
+                                      longrun.cli._GENERATOR_FIELDS)
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,8 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longrun import (
     HyperbolicSchedule,
@@ -166,6 +169,148 @@ def test_ergodicity_coefficient_bitwise_matches_pair_loop():
                 best = max(best, float(np.clip(rows[i] - rows[j], 0, None).sum()))
         assert ergodicity_coefficient(m) == best
         assert m.ergodicity == best
+
+
+def pair_loop_max(m: Model) -> float:
+    """The plain float64 maximum over all ordered row pairs, one pair at a time."""
+    rows = m.kernel.reshape(-1, m.n_states)
+    best = 0.0
+    for i in range(rows.shape[0]):
+        for j in range(rows.shape[0]):
+            best = max(best, float(np.maximum(rows[i] - rows[j], 0.0).sum()))
+    return best
+
+
+def _deterministic(n_states: int, n_actions: int, seed: int) -> Model:
+    rng = np.random.default_rng(seed)
+    g = np.zeros((n_actions, n_states, n_states))
+    g[np.arange(n_actions)[:, None], np.arange(n_states), rng.integers(0, n_states, (n_actions, n_states))] = 1.0
+    return Model(g, np.zeros((n_states, n_actions)))
+
+
+def _rows_apart_by(eps: float) -> Model:
+    # every row is the same distribution except for +eps / -eps in two entries
+    rng = np.random.default_rng(3)
+    base = rng.random(8) + 0.1
+    g = np.tile(base / base.sum(), (2, 8, 1))
+    for a, x in ((0, 2), (1, 5)):
+        g[a, x, 1] += eps
+        g[a, x, 6] -= eps
+    return Model(g, np.zeros((8, 2)))
+
+
+def _tiny_entries(mixed: bool) -> Model:
+    # entries of 1e-300 flush to zero in float32; unmixed, the coefficient comes only from them
+    g = np.tile([0.5, 0.5, 0.0], (2, 3, 1))
+    g[0, 1, 2] = 1e-300
+    g[1, 2, 2] = 3e-300
+    if mixed:
+        g[1, 0] = [0.7, 0.3 - 2e-300, 2e-300]
+    return Model(g, np.zeros((3, 2)))
+
+
+def _small_integer_weights(seed: int) -> Model:
+    # rows of equal mass whose two orders of a pair round apart
+    g = np.random.default_rng(seed).integers(1, 20, (2, 6, 6)).astype(float)
+    return Model(g / g.sum(axis=2, keepdims=True), np.zeros((6, 2)))
+
+
+def _off_unit_sums(sign: float) -> Model:
+    rng = np.random.default_rng(11)
+    g = rng.random((3, 12, 12))
+    g /= g.sum(axis=2, keepdims=True)
+    return Model(g * (1.0 + sign * 0.9e-12 * rng.random((3, 12, 1))), np.zeros((12, 3)))
+
+
+@pytest.fixture(params=["default-blocks", "single-row-blocks"])
+def pair_block(request, monkeypatch):
+    """Screen in the default row blocks, or in blocks of one row each, as on
+    kernels whose rows hold more than _PAIR_BLOCK entries all together."""
+    if request.param == "single-row-blocks":
+        monkeypatch.setattr(longrun.model, "_PAIR_BLOCK", 1)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _deterministic(30, 3, 1),  # many pairs tie at 1.0
+        _deterministic(12, 1, 2),
+        Model(np.tile(np.eye(5)[None], (2, 1, 1)), np.zeros((5, 2))),
+        Model(np.tile(np.linspace(1.0, 2.0, 9) / np.linspace(1.0, 2.0, 9).sum(), (3, 9, 1)), np.zeros((9, 3))),
+        _rows_apart_by(1e-9),
+        _rows_apart_by(1e-15),
+        _tiny_entries(mixed=False),
+        _tiny_entries(mixed=True),
+        _off_unit_sums(+1.0),
+        _off_unit_sums(-1.0),
+        _small_integer_weights(2),
+        _small_integer_weights(3),
+        Model(np.ones((1, 1, 1)), np.zeros((1, 1))),
+        Model(np.ones((3, 1, 1)), np.zeros((1, 3))),
+        gen_model({"n_states": 25, "n_actions": 1, "min_entry": 0.001, "seed": 9}),
+        # 225 rows of 45 entries: blocks of several rows whose last one is cut short
+        gen_model({"n_states": 45, "n_actions": 5, "min_entry": 0.0001, "seed": 12}),
+    ],
+    ids=["deterministic", "deterministic-1-action", "identity", "identical-rows", "apart-1e-9", "apart-1e-15",
+         "tiny-entries", "tiny-entries-mixed", "sums-above-1", "sums-below-1", "integer-weights-2",
+         "integer-weights-3", "1x1", "1-state-3-actions",
+         "1-action", "partial-block"],
+)
+def test_ergodicity_coefficient_equals_the_pair_loop_bitwise(model, pair_block):
+    assert ergodicity_coefficient(model) == pair_loop_max(model)
+
+
+def test_ergodicity_coefficient_special_values():
+    assert ergodicity_coefficient(_deterministic(30, 3, 1)) == 1.0
+    assert ergodicity_coefficient(_tiny_entries(mixed=False)) == 3e-300
+    assert 0.0 < ergodicity_coefficient(_rows_apart_by(1e-9)) < 3e-9
+
+
+def test_ergodicity_coefficient_on_single_row_blocks():
+    # 700 rows of 140 entries: every early block holds a single row; the
+    # reference sums each pair's differences as one contiguous row
+    m = gen_model({"n_states": 140, "n_actions": 5, "min_entry": 0.0005, "seed": 13})
+    rows = m.kernel.reshape(-1, m.n_states)
+    best = max(float(np.add.reduce(np.maximum(rows[i] - rows, 0.0), axis=1).max()) for i in range(rows.shape[0]))
+    assert ergodicity_coefficient(m) == best
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    n_states=st.integers(1, 30),
+    n_actions=st.integers(1, 4),
+    zero_share=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    distinct_rows=st.sampled_from([None, 1, 3]),
+    noise=st.sampled_from([0.0, 1e-6, 1e-8, 1e-10]),
+    integer_weights=st.booleans(),
+    off_unit_sums=st.booleans(),
+    single_row_blocks=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ergodicity_coefficient_property(
+    n_states, n_actions, zero_share, distinct_rows, noise, integer_weights, off_unit_sums, single_row_blocks, seed
+):
+    # random kernels with random zero patterns; some are a few distinct rows
+    # moved apart by noise below the float32 resolution, some have small
+    # integer weights (rows of equal mass), some have row sums up to
+    # 0.9 ROW_SUM_TOL away from 1
+    rng = np.random.default_rng(seed)
+    shape = (n_actions, n_states, n_states)
+    g = rng.random(shape)
+    if integer_weights:
+        g = np.ceil(19.0 * g)
+    g *= rng.random(shape) >= zero_share
+    g[np.arange(n_actions)[:, None], np.arange(n_states), rng.integers(0, n_states, shape[:2])] += 1.0
+    if distinct_rows:
+        rows = g.reshape(-1, n_states)
+        g = rows[rng.integers(0, min(distinct_rows, len(rows)), len(rows))].reshape(shape)
+    g = g + noise * rng.random(shape) * (g > 0)
+    g /= g.sum(axis=2, keepdims=True)
+    if off_unit_sums:
+        g *= 1.0 + 0.9e-12 * rng.uniform(-1.0, 1.0, (n_actions, n_states, 1))
+    m = Model(g, np.zeros((n_states, n_actions)))
+    with mock.patch.object(longrun.model, "_PAIR_BLOCK", 1 if single_row_blocks else longrun.model._PAIR_BLOCK):
+        assert ergodicity_coefficient(m) == pair_loop_max(m)
 
 
 @pytest.fixture
