@@ -462,52 +462,42 @@ def ergodicity_coefficient(model: Model) -> float:
     The result is bit for bit the float64 maximum of the plain per-pair sums
     np.maximum(rows[i] - rows[j], 0).sum() over all ordered pairs, from a
     certified screen followed by an exact recheck:
-    - Exact duplicate rows are dropped (their pair values repeat).
-    - Each row's cap, its float64 value against the column minima, bounds
-      all of its pair values: every operation is monotone.  Rows are taken
-      in decreasing cap order, and the search ends once no cap left exceeds
-      the best exact value.
     - Each block of rows is screened in float32 against the rows from its
       first row on, about half the pairs: for stochastic rows the two
       orders of a pair differ by the row-sum difference only.
-      _screen_margin proves how far a screened value can lie from either
-      float64 order.  A pair is kept only when its screened value is within
-      two margins of the running top and within one margin of the best
-      exact value, so no pair that can attain the maximum is missed.
-    - Kept pairs are recomputed in both orders in float64, row block by row
-      block, with the same subtraction, positive part and contiguous
-      length-s reduction as the plain per-pair sum.
+    - _screen_margin proves how far a screened value can lie from either
+      float64 order.  A pair is kept when its screened value is within two
+      margins of the running top; the top only rises, so no pair that can
+      attain the maximum is missed.
+    - The rows and partners of a block's kept pairs are recomputed in both
+      orders in float64, as one rectangle of row pairs, with the same
+      subtraction, positive part and contiguous length-s reduction as the
+      plain per-pair sum.
+    Kernels with many tied pairs, such as deterministic ones, keep most
+    pairs and cost up to about twice the plain pair loop.
     """
     s = model.n_states
     rows = model.kernel.reshape(-1, s)
-    rows = np.unique(rows.view(np.dtype((np.void, rows.itemsize * s)))).view(float).reshape(-1, s)
     n = rows.shape[0]
+    screen = rows.astype(np.float32)
     diff = np.empty(max(_PAIR_BLOCK, n * s))
     sums = np.empty(max(_PAIR_BLOCK // s, n))
-    cap = _positive_part_sums(rows[:, None, :], rows.min(axis=0)[None, None, :], diff, sums)[:, 0]
-    order = np.argsort(-cap, kind="stable")
-    cap, rows = cap[order], rows[order]
-    screen = rows.astype(np.float32)
     diff32, sums32 = np.empty(diff.size, np.float32), np.empty(sums.size, np.float32)
     margin = _screen_margin(s)
     best = top = 0.0
     lo = 0
-    while lo < n and cap[lo] > best:
+    while lo < n:
         w = n - lo
         m = min(w, max(1, _PAIR_BLOCK // (w * s)))
         t = _positive_part_sums(screen[lo : lo + m, None, :], screen[None, lo:, :], diff32, sums32)
         top = max(top, float(t.max()))
         # a float64 threshold, so the float32 sums are compared unrounded
-        keep = t >= np.float64(max(top - 2.0 * margin, best - margin))
+        keep = t >= np.float64(top - 2.0 * margin)
         if keep.any():
-            # the block's rows with a kept pair, and their kept partners
             rk, ck = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
-            i0, i1, j0, j1 = lo + rk[0], lo + rk[-1] + 1, lo + ck[0], lo + ck[-1] + 1
-            alive = int(np.count_nonzero(cap > best))  # only these rows can still raise best
-            for (a0, a1), (b0, b1) in (((i0, i1), (j0, j1)), ((j0, j1), (i0, i1))):
-                if min(a1, alive) > a0:
-                    t64 = _positive_part_sums(rows[a0 : min(a1, alive), None, :], rows[None, b0:b1, :], diff, sums)
-                    best = max(best, float(t64.max()))
+            blk, par = rows[lo + rk[0] : lo + rk[-1] + 1], rows[lo + ck[0] : lo + ck[-1] + 1]
+            for a, b in ((blk, par), (par, blk)):
+                best = max(best, float(_positive_part_sums(a[:, None, :], b[None, :, :], diff, sums).max()))
         lo += m
     return best
 

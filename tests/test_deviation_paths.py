@@ -229,3 +229,16 @@ def test_transient_state_reads_the_largest_class_root():
     P = np.array([[0.5, 0.5], [0.0, 1.0]])
     e = deviation_rate_infimum(P, np.array([1.0, 0.0]), 0.5)
     assert 0.5 * math.log(2.0) - 1e-8 <= e <= 0.5 * math.log(2.0) + 1e-15
+
+
+def test_ldp_entry_points_take_a_transposed_kernel():
+    # P.T of a C-ordered array is Fortran-ordered; the ergodicity check and
+    # the rate infimum read it as the same chain
+    m = gen_model({"n_states": 5, "n_actions": 1, "min_entry": 0.05, "seed": 21})
+    P, cu = m.kernel[0], m.reward[:, 0]
+    transposed = np.ascontiguousarray(P.T).T
+    assert not transposed.flags.c_contiguous
+    eps = 0.5 * (float(cu.max()) - float(cu @ stationary_distribution(P)))
+    assert deviation_rate_infimum(transposed, cu, eps) == pytest.approx(deviation_rate_infimum(P, cu, eps), abs=1e-12)
+    nu = np.full(5, 0.2)
+    assert rate_function(transposed, nu).value == pytest.approx(rate_function(P, nu).value, abs=1e-12)

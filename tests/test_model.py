@@ -250,11 +250,16 @@ def pair_block(request, monkeypatch):
         gen_model({"n_states": 25, "n_actions": 1, "min_entry": 0.001, "seed": 9}),
         # 225 rows of 45 entries: blocks of several rows whose last one is cut short
         gen_model({"n_states": 45, "n_actions": 5, "min_entry": 0.0001, "seed": 12}),
+        # Model keeps the caller's memory layout: kernels not in C order
+        Model(np.asfortranarray(_small_integer_weights(4).kernel[0])[None], np.zeros((6, 1))),
+        Model(_small_integer_weights(5).kernel[0].T.copy().T[None], np.zeros((6, 1))),
+        Model(np.asfortranarray(_off_unit_sums(1.0).kernel), np.zeros((12, 3))),
     ],
     ids=["deterministic", "deterministic-1-action", "identity", "identical-rows", "apart-1e-9", "apart-1e-15",
          "tiny-entries", "tiny-entries-mixed", "sums-above-1", "sums-below-1", "integer-weights-2",
          "integer-weights-3", "1x1", "1-state-3-actions",
-         "1-action", "partial-block"],
+         "1-action", "partial-block", "fortran-1-action", "transposed-1-action",
+         "fortran-3-actions"],
 )
 def test_ergodicity_coefficient_equals_the_pair_loop_bitwise(model, pair_block):
     assert ergodicity_coefficient(model) == pair_loop_max(model)
