@@ -85,9 +85,9 @@ _SIZE_CAPS = {
 
 
 def _check_numeric_fields(values: dict, kinds: dict = _NUMERIC_FIELDS) -> None:
-    """Refuse a numeric field or list item of another type, a non-finite
-    float, a negative seed and a size above its cap in _SIZE_CAPS.  A field
-    whose default is None may be null."""
+    """Refuse a numeric field or list item of another type, an empty list, a
+    non-finite float, a negative seed and a size above its cap in
+    _SIZE_CAPS.  A field whose default is None may be null."""
     for name, kind in kinds.items():
         if name not in values or (values[name] is None and name in _NULLABLE_FIELDS):
             continue
@@ -95,6 +95,9 @@ def _check_numeric_fields(values: dict, kinds: dict = _NUMERIC_FIELDS) -> None:
         if isinstance(kind, list):
             if not isinstance(items, list):
                 raise ConfigError(f"{name} must be a list, got {items!r}")
+            if not items:
+                # an empty list would silently stand for the default
+                raise ConfigError(f"{name} must not be empty; leave it out for the default")
             kind = kind[0]
         else:
             items = [items]

@@ -10,15 +10,19 @@ bound on the Perron root, taken class by class as risk_solver.perron_oracle
 also takes it: a certified lower bound.  The module needs numpy only.
 The deviation-probability bounds are verified exactly, by the exact risk
 evaluator for the exponential-martingale inequality and by full path
-enumeration for event probabilities.  The deviation-bound audit enumerates
-a start state in full only when a pruned bracket on its mass cannot rule it
-out as the worst one, so its rows equal the full per-start maximum bit for
-bit.  Each public function checks its kernel once.
+enumeration for event probabilities.  Each level of the path tree writes
+one child column at a time, a contiguous multiply and add over the whole
+frontier, with the factors read from a cyclic table of P's columns at the
+frontier's phase.  The deviation-bound audit enumerates a start state in
+full only when a pruned bracket on its mass cannot rule it out as the worst
+one, so its rows equal the full per-start maximum bit for bit.  Each public
+function checks its kernel once.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import islice
 
@@ -219,24 +223,43 @@ def dv_supermartingale_check(
     return SupermartingaleCheck(lhs=lhs, d_f=d_f, passed=lhs <= d_f + 1e-12)
 
 
-def _expand(P: np.ndarray, step: np.ndarray, probs, sums, last):
-    """One level of the path tree: each node's children in state order.
+def _cycle_table(P: np.ndarray, n: int) -> np.ndarray:
+    """The table cyc[y, k] = P[k % s, y] of one enumeration over horizon n.
 
-    last=None stands for a frontier whose last states cycle 0..s-1, as every
-    expansion that drops no zero-probability child leaves it; P's rows then
-    broadcast over the reshaped frontier, and P[last] is gathered otherwise.
-    The products and sums are the same floats either way.
+    A frontier at phase p < s reads its factors for child column y from the
+    slice cyc[y, p:p + m]; frontiers have at most max(1, _ENUM_CHUNK // s)
+    and at most s^(n - 2) nodes, so every slice fits.  An index array of
+    last states reads cyc[:, :s] = P.T.
     """
     s = P.shape[0]
-    if last is None:
-        probs = (probs.reshape(-1, s, 1) * P).ravel()
-    else:
-        probs = (probs[:, None] * P[last, :]).ravel()
-    sums = (sums[:, None] + step[None, :]).ravel()
-    keep = probs > 0.0
+    width = min(_ENUM_CHUNK // s, s ** (n - 1)) + s
+    return np.tile(P.T, (1, -(-width // s)))
+
+
+def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last):
+    """One level of the path tree: each node's children in state order.
+
+    last is either an int phase p, for a frontier whose last states cycle
+    p, p + 1, ... modulo s, or an index array of last states (at the start,
+    and once children were dropped).  Child column y is one multiply of the
+    whole frontier by cyc[y, p:p + m] (or by cyc[y, last]) and one add of
+    step[y], written with stride s into an (m, s) array, so numpy's inner
+    loops run over the frontier, not over s states, and every child is the
+    float probs[i] * P[x_i, y] and sums[i] + step[y] in the order i * s + y.
+    Zero-probability children (structural zeros, underflow) are dropped;
+    the children of a level that drops none cycle from phase 0.
+    """
+    s, m = step.size, probs.size
+    kids, kid_sums = np.empty((m, s)), np.empty((m, s))
+    for y in range(s):
+        factor = cyc[y, last:last + m] if isinstance(last, int) else cyc[y, last]
+        np.multiply(probs, factor, out=kids[:, y])
+        np.add(sums, step[y], out=kid_sums[:, y])
+    kids, kid_sums = kids.ravel(), kid_sums.ravel()
+    keep = kids > 0.0
     if keep.all():
-        return probs, sums, None
-    return probs[keep], sums[keep], np.tile(np.arange(s), keep.size // s)[keep]
+        return kids, kid_sums, 0
+    return kids[keep], kid_sums[keep], np.tile(np.arange(s), m)[keep]
 
 
 def _start(steps: np.ndarray, x: int) -> tuple:
@@ -244,24 +267,24 @@ def _start(steps: np.ndarray, x: int) -> tuple:
     return np.array([1.0]), steps[0, x:x + 1], np.array([x])
 
 
-def _enumerate_mass(P, steps, j, probs, sums, last, threshold):
+def _enumerate_mass(cyc, steps, j, probs, sums, last, threshold):
     """Mass of the length-n paths (n = len(steps)) whose weighted r-sum
     reaches the threshold, from a frontier at depth j.
 
     Expands level by level; splits the frontier in half whenever the next
     expansion would exceed the chunk size, so memory stays bounded while the
-    fixed index order keeps the accumulated sum deterministic.
+    fixed index order keeps the accumulated sum deterministic.  cyc is the
+    _cycle_table of the horizon; the second half of a frontier at phase p
+    cycles from (p + half) % s.
     """
-    s = P.shape[0]
+    s = cyc.shape[0]
     while j < len(steps):
         if probs.size * s > _ENUM_CHUNK and probs.size > 1:
             half = probs.size // 2
-            if last is None and half % s:
-                last = np.tile(np.arange(s), probs.size // s)
-            heads = (None, None) if last is None else (last[:half], last[half:])
-            return _enumerate_mass(P, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
-                _enumerate_mass(P, steps, j, probs[half:], sums[half:], heads[1], threshold)
-        probs, sums, last = _expand(P, steps[j], probs, sums, last)
+            heads = (last, (last + half) % s) if isinstance(last, int) else (last[:half], last[half:])
+            return _enumerate_mass(cyc, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
+                _enumerate_mass(cyc, steps, j, probs[half:], sums[half:], heads[1], threshold)
+        probs, sums, last = _expand(cyc, steps[j], probs, sums, last)
         j += 1
     return float(probs[sums >= threshold].sum())
 
@@ -292,12 +315,13 @@ def _pruned_brackets(P, steps, x, threshold):
         decided.append(math.fsum(probs[above].tolist()))
         lo = math.fsum(decided)
         yield lo, math.fsum(decided + probs[open_].tolist())
-        if last is None:
-            last = np.tile(np.arange(s), probs.size // s)
+        if isinstance(last, int):
+            last = (last + np.arange(probs.size)) % s
         probs, sums, last = probs[open_], sums[open_], last[open_]
         if j == n or not probs.size or probs.size * s > _ENUM_CHUNK:
             return
-        probs, sums, last = _expand(P, steps[j], probs, sums, last)
+        # filtered frontiers carry index arrays, which read only P.T = cyc[:, :s]
+        probs, sums, last = _expand(P.T, steps[j], probs, sums, last)
         j += 1
 
 
@@ -313,7 +337,7 @@ def exact_event_probability(
     """
     P = _require_ergodic(P)
     steps, threshold = _enumeration_inputs(P, schedule, k, n, f, kappa, x)
-    return _enumerate_mass(P, steps, 1, *_start(steps, x), threshold)
+    return _enumerate_mass(_cycle_table(P, n), steps, 1, *_start(steps, x), threshold)
 
 
 def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int, f, kappa: float, x: int = 0):
@@ -345,6 +369,7 @@ def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> flo
     and overlapping brackets are enumerated.
     """
     s = P.shape[0]
+    cyc = _cycle_table(P, len(steps))
     brackets = [_pruned_brackets(P, steps, x, threshold) for x in range(s)]
     shallow = [list(islice(b, _SHALLOW))[-1] for b in brackets]
     order = sorted(range(s), key=lambda x: -sum(shallow[x]))
@@ -355,12 +380,12 @@ def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> flo
 
     # a bracket's frontier is released as soon as its start is decided
     brackets[order[0]].close()
-    best = _enumerate_mass(P, steps, 1, *_start(steps, order[0]), threshold)
+    best = _enumerate_mass(cyc, steps, 1, *_start(steps, order[0]), threshold)
     for x in order[1:]:
         skip = ruled_out(shallow[x][1], best) or any(ruled_out(hi, best) for _, hi in brackets[x])
         brackets[x].close()
         if not skip:
-            best = max(best, _enumerate_mass(P, steps, 1, *_start(steps, x), threshold))
+            best = max(best, _enumerate_mass(cyc, steps, 1, *_start(steps, x), threshold))
     return best
 
 
@@ -400,8 +425,11 @@ def ldp_upper_bound_check(
     if _finite_number(kappa, "kappa") < 0.0:
         raise InvalidModel(f"kappa must be nonnegative, got {kappa!r}")
     f = np.asarray(f, dtype=float)
-    if f.min() < 1.0:
-        raise InvalidModel("f must satisfy min f >= 1")
+    if f.shape != (Pm.shape[0],) or f.min() < 1.0:
+        raise InvalidModel("f must hold one value per state and satisfy min f >= 1")
+    n_grid = list(n_grid)
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in n_grid):
+        raise InvalidModel(f"n_grid must hold integer horizons, got {n_grid!r}")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid:
         # no row would be checked, and the audit would pass vacuously

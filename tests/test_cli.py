@@ -156,6 +156,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, field", [("ldp-check", "f"), ("ldp-check", "n_grid"),
+                                         ("evaluate", "horizons"), ("sweep-gamma", "gammas")])
+def test_empty_config_list_exits_2(tmp_path, capsys, model_file, task, field):
+    # an empty list is refused as the flag form --gammas= is, never read as the default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: []}), encoding="utf-8")
+    assert main([task, "--config", str(cfg), "--model", model_file, "--out", str(tmp_path / "o")]) == 2
+    assert f"{field} must not be empty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_model_exits_2(tmp_path, capsys):
     assert main(["solve-average", "--model", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
     # a model file that exists but is not a model is a usage error as well

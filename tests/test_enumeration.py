@@ -1,14 +1,19 @@
 """ldp_upper_bound_check enumerates exactly only the start states that a
-pruned bracket cannot rule out, on a shared expansion step that broadcasts
-P's rows where the frontier is aligned.  The reference below is the full
-per-start enumeration it replaced; every row and every event probability
-must match it bit for bit (==, not approx).  The communicating classes of
-the Perron bracket are checked the same way against the full squaring."""
+pruned bracket cannot rule out.  Its expansion step writes one child column
+at a time over the whole frontier, reading the factors at the frontier's
+phase from a cyclic table of P, and falls back to index arrays where
+children were dropped.  The reference below is the full per-start
+enumeration with a gathered P[last] at every level; every row and every
+event probability must match it bit for bit (==, not approx).  The
+communicating classes of the Perron bracket are checked the same way
+against the full squaring."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longrun import (
     CheckFailed,
@@ -104,7 +109,7 @@ def test_rows_match_the_full_enumeration(monkeypatch, seed, zeros, shallow):
 @pytest.mark.parametrize("chunk", [5, 7, 50, 301])
 @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
 def test_small_chunks_split_unaligned(monkeypatch, chunk, zeros):
-    # halves of size // 2 start mid-cycle, so the split gathers P[last]
+    # halves of size // 2 start mid-cycle: at a nonzero phase, or mid index array
     monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
     rng = np.random.default_rng([chunk, zeros])
     P = random_kernel(rng, 3, zeros)
@@ -189,10 +194,93 @@ def test_small_masses_in_a_misleading_order_match(monkeypatch, seed):
     assert_rows_match(P, f, float(rng.uniform(0.5, 1.0)) * float(r.max()), UnitSchedule(), 0, [6])
 
 
-def test_deviation_style_rows_match():
-    # the ldp-check default f on a 3 x 2 model at the horizons a config uses
+@pytest.mark.parametrize("chunk", [ldp._ENUM_CHUNK, 1 << 17], ids=["default", "scaled"])
+def test_deviation_style_rows_match(monkeypatch, chunk):
+    # the ldp-check default f on a 3 x 2 model at the horizons a config uses;
+    # the scaled chunk halves the 3^10-node frontier at n = 12 into halves at
+    # phases 0 and 1, as the default chunk halves 3^13 nodes at n = 16
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
     P = random_model(7).policy_kernel(StationaryPolicy([0, 0, 0]))
-    assert_rows_match(P, np.array([2.0, 1.0, 1.0]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [8, 10, 12])
+    assert_rows_match(P, np.array([2.0, 1.0, 1.0]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [8, 10, 12], chunk)
+
+
+def kernel_with(rng, s, zeros, tiny):
+    """random_kernel, and with tiny a 1e-200 entry outside one all-positive
+    column, so the kernel stays ergodic while paths through that entry twice
+    underflow to zero and are dropped."""
+    P = random_kernel(rng, s, zeros)
+    if tiny:
+        kept = np.flatnonzero((P > 0.0).all(axis=0))[0]
+        y = (kept + 1 + rng.integers(s - 1)) % s
+        P[y, y] = 1e-200
+        P[y] /= P[y].sum()
+    return P
+
+
+# the largest horizon per number of states that keeps an example quick
+MAX_HORIZON = {2: 10, 3: 7, 4: 6, 5: 5}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    s=st.integers(2, 5),
+    zeros=st.booleans(),
+    tiny=st.booleans(),
+    chunk=st.sampled_from([ldp._ENUM_CHUNK, 3, 5, 7, 16, 50, 301]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_expansion_matches_the_gathering_reference(s, zeros, tiny, chunk, seed, data):
+    # small chunks halve frontiers down to single nodes, at every phase
+    rng = np.random.default_rng(seed)
+    P = kernel_with(rng, s, zeros, tiny)
+    f = 1.0 + 2.0 * rng.random(s)
+    n_grid = sorted(data.draw(st.sets(st.integers(1, MAX_HORIZON[s]), min_size=1, max_size=3)))
+    schedule = data.draw(st.sampled_from(SCHEDULES))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ldp, "_ENUM_CHUNK", chunk)
+        assert_rows_match(P, f, float(rng.uniform(0.0, 0.1)), schedule, seed % 2, n_grid, chunk)
+
+
+@pytest.mark.parametrize("s, chunk", [(3, 16), (4, 7), (5, 7)])
+def test_small_chunks_start_halves_at_every_phase(monkeypatch, s, chunk):
+    # a positive kernel drops no child, so every frontier is a phase; the
+    # halves of a small chunk must start at each of 0..s-1 (with s = 2 every
+    # frontier has 2^j nodes, so every half starts at phase 0)
+    phases = set()
+    inner = ldp._expand
+
+    def recording(cyc, step, probs, sums, last):
+        if isinstance(last, int):
+            phases.add(last)
+        return inner(cyc, step, probs, sums, last)
+
+    monkeypatch.setattr(ldp, "_expand", recording)
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    rng = np.random.default_rng(s)
+    P = random_kernel(rng, s, False)
+    f = 1.0 + rng.random(s)
+    assert_rows_match(P, f, 0.02, HyperbolicSchedule(1.0, 1.0), 0, [MAX_HORIZON[s]], chunk)
+    assert phases == set(range(s))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_underflowing_paths_are_dropped_as_in_the_reference(monkeypatch, s):
+    # paths through the 1e-200 entry twice underflow to zero and are dropped
+    # from the frontier, which then carries an index array of last states
+    dropped = []
+    inner = ldp._expand
+
+    def recording(cyc, step, probs, sums, last):
+        kids = inner(cyc, step, probs, sums, last)
+        dropped.append(probs.size * s - kids[0].size)
+        return kids
+
+    monkeypatch.setattr(ldp, "_expand", recording)
+    P = kernel_with(np.random.default_rng(s), s, False, True)
+    f = 1.0 + np.arange(s) / s
+    assert_rows_match(P, f, 0.0, UnitSchedule(), 0, [MAX_HORIZON[s]])
+    assert sum(dropped) > 0
 
 
 def test_guard_raises_before_any_bracket_work(monkeypatch):

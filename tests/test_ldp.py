@@ -357,6 +357,25 @@ def test_upper_bound_check_needs_a_horizon(unit):
         ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), 0.02, unit, 0, [])
 
 
+def test_upper_bound_check_refuses_an_empty_f(unit):
+    # f.min() of an empty f used to raise a bare ValueError
+    with pytest.raises(InvalidModel, match="one value per state"):
+        ldp_upper_bound_check(REF_P, np.array([]), 0.02, unit, 0, [4])
+
+
+@pytest.mark.parametrize("grid", [["x"], [4.7], [4, 4.0], [True]], ids=["text", "fraction", "float", "bool"])
+def test_upper_bound_check_refuses_non_integer_horizons(unit, grid):
+    # ["x"] used to raise a bare ValueError, and 4.7 was truncated to 4
+    with pytest.raises(InvalidModel, match="integer horizons"):
+        ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), 0.02, unit, 0, grid)
+
+
+def test_upper_bound_check_takes_numpy_integer_horizons(unit):
+    f = np.array([2.0, 1.0])
+    assert ldp_upper_bound_check(REF_P, f, 0.02, unit, 0, np.arange(3, 6)).rows == \
+        ldp_upper_bound_check(REF_P, f, 0.02, unit, 0, [3, 4, 5]).rows
+
+
 # ------------------------------------------------ deviation rates and margins
 
 
