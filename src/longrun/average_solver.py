@@ -24,6 +24,7 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
+    _horizon_grid,
     span_seminorm,
 )
 
@@ -207,8 +208,6 @@ def default_window(model: Model, tol: float) -> int:
 
 def _window(schedule: DiscountSchedule, k: int, n_slices: int) -> np.ndarray:
     """phi over the solve window k .. k + n_slices - 1, checked to be positive."""
-    if n_slices < 1:
-        raise InvalidModel("window must contain at least one slice")
     phi = schedule.phi_array(k, n_slices)
     if (phi <= 0.0).any():
         raise InvalidModel("schedule must be strictly positive over the window")
@@ -275,7 +274,7 @@ def cesaro_values(sol: TimeExtendedSolution, schedule: DiscountSchedule, n_grid)
     sum_{j<n} lambda_seq[j] phi(start+j) / sum_{j<n} phi(start+j); these
     approach the stationary optimal gain as the window grows.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = _horizon_grid(n_grid)
     N = sol.lambda_seq.shape[0]
     for n in n_grid:
         if not 1 <= n <= N:

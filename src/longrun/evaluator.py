@@ -22,7 +22,7 @@ from .model import (
     Model,
     StationaryPolicy,
     TimeVaryingPolicy,
-    phi_partial_sum,
+    _horizon_grid,
 )
 from .average_solver import relative_value_iteration
 from .risk_solver import risk_relative_value_iteration
@@ -53,14 +53,13 @@ class SimulationResult:
     normalizer: float
 
 
-def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, gamma: float = 0.0):
+def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, x: int, gamma: float = 0.0):
     """phi weights, their partial sum, and the (n, n_states) action and reward
     tables of a policy over the time window [k, k + n), checked against the
-    model and against a gamma whose tilted partial reward overflows."""
-    if n < 1:
-        raise InvalidModel("horizon must be at least 1")
+    model, against the start state x and against a gamma whose tilted
+    partial reward overflows."""
     phi = schedule.phi_array(k, n)
-    norm = phi_partial_sum(schedule, k, n)
+    norm = schedule.partial_sum(k, n)
     if isinstance(policy, StationaryPolicy):
         table = np.asarray(policy.actions, dtype=int)[None, :]
         rows = np.zeros(n, dtype=int)
@@ -77,6 +76,8 @@ def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, ga
     c = model.reward[np.arange(model.n_states), actions]
     if not math.isfinite(abs(gamma) * norm * float(np.abs(c).max())):
         raise GammaNotAllowed(f"|gamma| = {abs(gamma)} times the window's reward mass exceeds the float range")
+    if not 0 <= x < model.n_states:
+        raise InvalidModel("start state out of range")
     return phi, norm, actions, c
 
 
@@ -91,8 +92,6 @@ def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
     1e-308 of the largest.
     """
     n, s = actions.shape
-    if not 0 <= x < s:
-        raise InvalidModel("start state out of range")
     states = np.arange(s)
     z = np.empty((n, s))
     log_scale = np.empty(n)
@@ -124,7 +123,7 @@ def exact_discounted_value(
     Computes sum_{i=k}^{n+k-1} phi(i) E[c(X_{i-k}, a_{i-k})] divided by the
     phi partial sum, by forward propagation of the state distribution.
     """
-    phi, norm, actions, c = _window(model, policy, schedule, k, n)
+    phi, norm, actions, c = _window(model, policy, schedule, k, n, x)
     z, log_scale = _forward(model, actions, x, np.zeros(actions.shape))
     total = float(phi @ (np.exp(log_scale) * (z * c).sum(axis=1)))
     return EvaluationResult(value=total / norm, horizon=n, start_k=k, start_x=x, normalizer=norm)
@@ -150,7 +149,7 @@ def exact_risk_value(
     """
     if gamma == 0.0:
         raise GammaNotAllowed("risk evaluation needs gamma != 0")
-    phi, norm, actions, c = _window(model, policy, schedule, k, n, gamma)
+    phi, norm, actions, c = _window(model, policy, schedule, k, n, x, gamma)
     z, log_scale = _forward(model, actions, x, gamma * phi[:, None] * c)
     total = log_scale[-1] + math.log(z[-1].sum())
     return EvaluationResult(value=total / (gamma * norm), horizon=n, start_k=k, start_x=x, normalizer=norm)
@@ -178,9 +177,7 @@ def simulate(
         raise InvalidModel("need at least one replicate")
     if gamma == 0.0:
         raise GammaNotAllowed("risk estimate needs gamma != 0")
-    phi, norm, actions, c = _window(model, policy, schedule, k, n, gamma)
-    if not 0 <= x0 < model.n_states:
-        raise InvalidModel("start state out of range")
+    phi, norm, actions, c = _window(model, policy, schedule, k, n, x0, gamma)
     cum = model.kernel.cumsum(axis=2)
     weighted = np.empty(reps)
     for r in range(reps):
@@ -276,9 +273,7 @@ def discounted_optimality_check(
     random time-varying policies never beats the gain by more than the
     phi(k)-weighted relative-value slack.
     """
-    horizon_grid = [int(n) for n in horizon_grid]
-    if not horizon_grid:
-        raise InvalidModel("the optimality check needs at least one horizon")
+    horizon_grid = _horizon_grid(horizon_grid)
     sol = relative_value_iteration(model, tol=tol)
     w_max = float(sol.w.max())
     phi_k = schedule.phi(k)
@@ -324,12 +319,12 @@ def risk_upper_bound_check(
     """
     if gamma <= 0:
         raise GammaNotAllowed("the upper bound requires gamma > 0")
+    norm = schedule.partial_sum(k, n)
     sol = risk_relative_value_iteration(model, gamma, tol=tol)
     w = sol.w
     w_max = float(w.max())
     phi_k = schedule.phi(k)
     phi_last = schedule.phi(n + k - 1)
-    norm = phi_partial_sum(schedule, k, n)
     slack = (phi_k * float(w[x]) + w_max * (phi_k - phi_last)) / (gamma * norm) + CHECK_SLACK
     bound = sol.lam + slack
     rows = []

@@ -22,7 +22,6 @@ function checks its kernel once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import islice
 
@@ -41,7 +40,7 @@ from .model import (
     Model,
     StationaryPolicy,
     _finite_number,
-    phi_partial_sum,
+    _horizon_grid,
 )
 from .average_solver import stationary_distribution
 from .evaluator import exact_risk_value
@@ -103,7 +102,7 @@ def weighted_empirical(
         raise InvalidModel("trajectory contains states outside the declared space")
     n = traj.size
     phi = schedule.phi_array(k, n)
-    norm = phi_partial_sum(schedule, k, n)
+    norm = schedule.partial_sum(k, n)
     nu = np.bincount(traj, weights=phi, minlength=s) / norm
     return WeightedEmpiricalMeasure(nu=nu, start=k, horizon=n, schedule=schedule)
 
@@ -348,15 +347,13 @@ def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n: in
         raise EnumerationTooLarge(f"horizon {n} with {s} states exceeds the enumeration guard")
     if s ** (n - 1) > (1 << 27):
         raise EnumerationTooLarge(f"{s ** (n - 1)} paths exceed the workable enumeration budget")
-    if n < 1:
-        raise InvalidModel("horizon must be at least 1")
     if not 0 <= x < s:
         raise InvalidModel("start state out of range")
     f = np.asarray(f, dtype=float)
     if f.shape != (s,) or not np.isfinite(f).all() or f.min() <= 0.0:
         raise InvalidModel("f must be a finite positive vector")
     r = np.log(f) - np.log(P @ f)
-    return schedule.phi_array(k, n)[:, None] * r, kappa * phi_partial_sum(schedule, k, n)
+    return schedule.phi_array(k, n)[:, None] * r, kappa * schedule.partial_sum(k, n)
 
 
 def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> float:
@@ -427,17 +424,11 @@ def ldp_upper_bound_check(
     f = np.asarray(f, dtype=float)
     if f.shape != (Pm.shape[0],) or f.min() < 1.0:
         raise InvalidModel("f must hold one value per state and satisfy min f >= 1")
-    n_grid = list(n_grid)
-    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in n_grid):
-        raise InvalidModel(f"n_grid must hold integer horizons, got {n_grid!r}")
-    n_grid = sorted(int(n) for n in n_grid)
-    if not n_grid:
-        # no row would be checked, and the audit would pass vacuously
-        raise InvalidModel("the deviation bound check needs at least one horizon")
+    n_grid = sorted(_horizon_grid(n_grid))
     d = float(f.max() / f.min())
     rows = []
     for n in n_grid:
-        norm = phi_partial_sum(schedule, k, n)
+        norm = schedule.partial_sum(k, n)
         q = _worst_start_mass(Pm, *_enumeration_inputs(Pm, schedule, k, n, f, kappa))
         bound = d * math.exp(-kappa * norm)
         decay = math.log(q) / norm if q > 0.0 else -math.inf
@@ -576,7 +567,7 @@ def near_optimality_margin(
         )
     mu = stationary_distribution(P)
     lam_u = float(mu @ cu)
-    norm = phi_partial_sum(schedule, k, n)
+    norm = schedule.partial_sum(k, n)
     # an infinite rate leaves exp(-inf) = 0 and no slack
     slack = math.log1p(math.exp(-norm * (rate_e - 2.0 * abs(gamma) * c_norm + abs(gamma) * eps))) / (abs(gamma) * norm)
     floor = lam_u - eps - slack

@@ -7,6 +7,11 @@ schedule families (hyperbolic, unit, tabulated), and the scalar constants
 (uniform ergodicity coefficient, two-sided density bound, row-equivalence
 constant, risk contraction margin) that serve as preconditions and bound
 certificates downstream.
+
+DiscountSchedule owns the time axis: every finite-horizon quantity reads
+phi over a window [k, k + n) through phi_array, which alone refuses a window
+that is not given by integers k >= 0 and n >= 1, and _horizon_grid is the
+one check of a grid of horizons.
 """
 
 from __future__ import annotations
@@ -193,34 +198,68 @@ def _finite_number(value, name: str) -> float:
     return number
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer, False for a bool or anything else."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _horizon_grid(n_grid) -> list:
+    """n_grid as a nonempty list of ints; InvalidModel for an empty grid or
+    an entry that is not an integer (a bool included)."""
+    grid = list(n_grid)
+    if not all(map(_is_integer, grid)):
+        raise InvalidModel(f"horizon grid must hold integer horizons, got {grid!r}")
+    if not grid:
+        # no horizon would be checked, and a check would pass vacuously
+        raise InvalidModel("horizon grid needs at least one horizon")
+    return [int(n) for n in grid]
+
+
 class DiscountSchedule:
     """Sequence of weights phi(i) in [0, 1] applied to the reward at time i.
 
     Well-formed schedules satisfy phi(0) = 1, phi nonincreasing,
     phi(n + k) >= phi(n) * phi(k), and divergent partial sums; use
     validate_schedule to audit a schedule against those properties.
+
+    Each family names its spec fields once, in _fields (its constructor's
+    order); to_dict, repr and schedule_from_dict read them and _family.
     """
 
     divergence_certified: bool = False
+    _family: str
+    _fields: tuple = ()
 
     def phi(self, i: int) -> float:
         """phi(i), the same float as the matching entry of any phi_array."""
         return float(self.phi_array(i, 1)[0])
 
     def phi_array(self, start: int, count: int) -> np.ndarray:
-        """phi(start), ..., phi(start + count - 1) as a float array."""
+        """phi(start), ..., phi(start + count - 1) as a float array, for
+        integers start >= 0 and count >= 1 (numpy integers, but no bools)."""
+        if not (_is_integer(start) and _is_integer(count) and start >= 0 and count >= 1):
+            raise InvalidModel(
+                f"schedule window [k, k + n) needs integers k >= 0 and n >= 1, got k={start!r}, n={count!r}"
+            )
+        return self._phi(int(start), int(count))
+
+    def _phi(self, start: int, count: int) -> np.ndarray:
         raise NotImplementedError
 
     def partial_sum(self, start: int, count: int) -> float:
-        if count < 1:
-            raise InvalidModel("partial sum needs at least one term")
         total = float(self.phi_array(start, count).sum())
         if not total > 0.0:  # every caller divides by it
             raise InvalidModel("schedule mass over the window must be positive")
         return total
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The spec that schedule_from_dict reads back into this schedule."""
+        # tolist turns the values table into a list of plain floats
+        return {"family": self._family, **{f: np.asarray(getattr(self, f)).tolist() for f in self._fields}}
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class HyperbolicSchedule(DiscountSchedule):
@@ -231,6 +270,7 @@ class HyperbolicSchedule(DiscountSchedule):
     analytically.
     """
 
+    _family, _fields = "hyperbolic", ("h", "r")
     divergence_certified = True
 
     def __init__(self, h: float, r: float):
@@ -243,34 +283,19 @@ class HyperbolicSchedule(DiscountSchedule):
         self.h = h
         self.r = r
 
-    def phi_array(self, start: int, count: int) -> np.ndarray:
-        if start < 0 or count < 0:
-            raise InvalidModel("schedule window must be nonnegative")
+    def _phi(self, start: int, count: int) -> np.ndarray:
         idx = np.arange(start, start + count, dtype=float)
         return (1.0 + self.h * idx) ** (-self.r / self.h)
-
-    def to_dict(self) -> dict:
-        return {"family": "hyperbolic", "h": self.h, "r": self.r}
-
-    def __repr__(self):
-        return f"HyperbolicSchedule(h={self.h}, r={self.r})"
 
 
 class UnitSchedule(DiscountSchedule):
     """phi identically 1: the undiscounted case."""
 
+    _family = "unit"
     divergence_certified = True
 
-    def phi_array(self, start: int, count: int) -> np.ndarray:
-        if start < 0 or count < 0:
-            raise InvalidModel("schedule window must be nonnegative")
+    def _phi(self, start: int, count: int) -> np.ndarray:
         return np.ones(count)
-
-    def to_dict(self) -> dict:
-        return {"family": "unit"}
-
-    def __repr__(self):
-        return "UnitSchedule()"
 
 
 class TabulatedSchedule(DiscountSchedule):
@@ -281,6 +306,8 @@ class TabulatedSchedule(DiscountSchedule):
     asymptotic checks are conditional on that declaration.  Indexing past
     the table raises.
     """
+
+    _family, _fields = "tabulated", ("values", "tail_divergent")
 
     def __init__(self, values: Sequence[float], tail_divergent: bool = False):
         try:
@@ -299,21 +326,12 @@ class TabulatedSchedule(DiscountSchedule):
     def divergence_certified(self) -> bool:
         return self.tail_divergent
 
-    def phi_array(self, start: int, count: int) -> np.ndarray:
-        if start < 0 or count < 0:
-            raise InvalidModel("schedule window must be nonnegative")
+    def _phi(self, start: int, count: int) -> np.ndarray:
         if start + count > self.values.size:
             raise InvalidModel(
                 f"tabulated schedule has {self.values.size} values, window needs {start + count}"
             )
         return np.array(self.values[start : start + count])
-
-    def to_dict(self) -> dict:
-        return {
-            "family": "tabulated",
-            "values": [float(v) for v in self.values],
-            "tail_divergent": self.tail_divergent,
-        }
 
     def __repr__(self):
         return f"TabulatedSchedule(len={self.values.size}, tail_divergent={self.tail_divergent})"
@@ -590,11 +608,13 @@ def model_from_dict(data: dict) -> Model:
     try:
         kernel = np.asarray(data["kernel"], dtype=float)
         reward = np.asarray(data["reward"], dtype=float)
-        n_states, n_actions = int(data["n_states"]), int(data["n_actions"])
     except (TypeError, ValueError) as exc:
         raise InvalidModel(f"model sizes and arrays must be numeric, arrays rectangular: {exc}") from exc
+    sizes = data["n_states"], data["n_actions"]
+    if not all(map(_is_integer, sizes)):
+        raise InvalidModel(f"declared n_states/n_actions must be integers, got {sizes!r}")
     model = Model(kernel, reward)
-    if model.n_states != n_states or model.n_actions != n_actions:
+    if (model.n_states, model.n_actions) != sizes:
         raise InvalidModel("declared n_states/n_actions do not match array shapes")
     return model
 
@@ -615,27 +635,19 @@ def load_model(path) -> Model:
     return model_from_dict(data)
 
 
+_SCHEDULE_FAMILIES = (HyperbolicSchedule, UnitSchedule, TabulatedSchedule)
+
+
 def schedule_from_dict(data: dict) -> DiscountSchedule:
     if not isinstance(data, dict) or "family" not in data:
         raise InvalidModel("schedule spec must be an object with a 'family' field")
     family = data["family"]
-    if family == "hyperbolic":
-        unknown = set(data) - {"family", "h", "r"}
-        if unknown:
-            raise InvalidModel(f"unknown schedule fields: {sorted(unknown)}")
-        if "h" not in data or "r" not in data:
-            raise InvalidModel("hyperbolic schedule needs fields h and r")
-        return HyperbolicSchedule(data["h"], data["r"])
-    if family == "unit":
-        unknown = set(data) - {"family"}
-        if unknown:
-            raise InvalidModel(f"unknown schedule fields: {sorted(unknown)}")
-        return UnitSchedule()
-    if family == "tabulated":
-        unknown = set(data) - {"family", "values", "tail_divergent"}
-        if unknown:
-            raise InvalidModel(f"unknown schedule fields: {sorted(unknown)}")
-        if "values" not in data or "tail_divergent" not in data:
-            raise InvalidModel("tabulated schedule needs fields values and tail_divergent")
-        return TabulatedSchedule(data["values"], data["tail_divergent"])
-    raise InvalidModel(f"unknown schedule family {family!r}")
+    cls = next((c for c in _SCHEDULE_FAMILIES if c._family == family), None)
+    if cls is None:
+        raise InvalidModel(f"unknown schedule family {family!r}")
+    unknown = set(data) - {"family", *cls._fields}
+    if unknown:
+        raise InvalidModel(f"unknown schedule fields: {sorted(unknown)}")
+    if not set(cls._fields) <= set(data):
+        raise InvalidModel(f"{family} schedule needs fields {' and '.join(cls._fields)}")
+    return cls(*(data[name] for name in cls._fields))

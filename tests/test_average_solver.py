@@ -250,6 +250,14 @@ def test_cesaro_values(reference_model, hyperbolic):
     assert np.allclose(cesaro_values(ext_c, hyperbolic, [5, 20]), 3.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("grid", [[4.7], ["5"], [True], []], ids=["fraction", "text", "bool", "empty"])
+def test_cesaro_values_refuses_bad_grids(reference_model, hyperbolic, grid):
+    # 4.7 used to give the n = 4 average, and an empty grid an empty array
+    ext = time_extended_solve(reference_model, hyperbolic, k=0, n_slices=10)
+    with pytest.raises(InvalidModel, match="integer horizons|at least one horizon"):
+        cesaro_values(ext, hyperbolic, grid)
+
+
 def test_cesaro_approaches_gain(reference_model, hyperbolic):
     # long hyperbolic window: the weighted averages settle near the gain,
     # within the relative-value correction over the accumulated weight

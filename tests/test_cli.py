@@ -174,6 +174,8 @@ def test_missing_model_exits_2(tmp_path, capsys):
     for text in (
         '{"n_states": 2, "n_actions": 1, "kernel": [[["a", 0.5], [0.5, 0.5]]], "reward": [[1.0], [0.0]]}',
         '{"n_states": 2, "n_actions": 1, "kernel": [[[0.5, 0.5], [1.0]]], "reward": [[1.0], [0.0]]}',
+        # a declared size is an integer, not a number that int() truncates to one
+        '{"n_states": 2.5, "n_actions": 1, "kernel": [[[0.5, 0.5], [0.5, 0.5]]], "reward": [[1.0], [0.0]]}',
         "{not json",
     ):
         bad.write_text(text, encoding="utf-8")

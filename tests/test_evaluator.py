@@ -267,6 +267,13 @@ def test_discounted_optimality_check_needs_a_horizon(reference_model, hyperbolic
         discounted_optimality_check(reference_model, hyperbolic, 0, [], panel_size=2)
 
 
+@pytest.mark.parametrize("grid", [[4.7], ["5"], [True]], ids=["fraction", "text", "bool"])
+def test_discounted_optimality_check_refuses_non_integer_horizons(reference_model, hyperbolic, grid):
+    # 4.7 used to check n = 4, "5" n = 5 and True n = 1
+    with pytest.raises(InvalidModel, match="integer horizons"):
+        discounted_optimality_check(reference_model, hyperbolic, 0, grid, panel_size=2)
+
+
 def test_adversarial_policy_stays_below_gain(reference_model, hyperbolic):
     # with c = (1, 0) the empirical value of any policy is below the gain plus slack;
     # a reward-minimizing kernel row keeps it strictly below

@@ -21,15 +21,24 @@ from longrun import (
     equivalence_constant,
     ergodicity_coefficient,
     exact_discounted_value,
+    exact_event_probability,
+    exact_risk_value,
     deviation_rate_infimum,
     gamma_sweep,
     ldp_upper_bound_check,
+    near_optimality_margin,
     phi_partial_sum,
     poisson_solve,
     risk_contraction_margin,
+    risk_time_extended_solve,
+    risk_upper_bound_check,
+    sandwich_check,
+    simulate,
     span_seminorm,
     stationary_distribution,
+    time_extended_solve,
     validate_schedule,
+    weighted_empirical,
 )
 import longrun.model
 from longrun.cli import gen_model, main
@@ -495,6 +504,86 @@ def test_phi_is_the_phi_array_entry_bitwise():
         UnitSchedule().phi(-1)
 
 
+@pytest.mark.parametrize(
+    "sched, spec, text",
+    [
+        (HyperbolicSchedule(1.0, 1.0), '{"family": "hyperbolic", "h": 1.0, "r": 1.0}', "HyperbolicSchedule(h=1.0, r=1.0)"),
+        (UnitSchedule(), '{"family": "unit"}', "UnitSchedule()"),
+        (
+            TabulatedSchedule([1.0, 0.5, 0.25], tail_divergent=True),
+            '{"family": "tabulated", "tail_divergent": true, "values": [1.0, 0.5, 0.25]}',
+            "TabulatedSchedule(len=3, tail_divergent=True)",
+        ),
+    ],
+    ids=["hyperbolic", "unit", "tabulated"],
+)
+def test_schedule_spec_round_trip_and_text(sched, spec, text):
+    # the spec text is verify's "schedule:" line
+    assert json.dumps(sched.to_dict(), sort_keys=True) == spec
+    assert repr(sched) == text
+    back = schedule_from_dict(sched.to_dict())
+    assert type(back) is type(sched)
+    assert (back.phi_array(0, 3) == sched.phi_array(0, 3)).all()
+
+
+_SCHEDULES = (
+    HyperbolicSchedule(1.5, 0.7),
+    UnitSchedule(),
+    TabulatedSchedule(np.linspace(1.0, 0.2, 200), tail_divergent=True),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(_SCHEDULES), st.integers(0, 100), st.integers(1, 50), st.integers(1, 50))
+def test_phi_array_windows_concatenate_bitwise(sched, k, a, b):
+    whole = sched.phi_array(k, a + b)
+    parts = np.concatenate([sched.phi_array(k, a), sched.phi_array(k + a, b)])
+    assert whole.tobytes() == parts.tobytes()
+
+
+# every finite-horizon entry point reads phi over [k, k + n) through
+# phi_array, so each one refuses the windows that phi_array refuses
+_REF = Model(np.array([[[0.75, 0.25], [0.5, 0.5]]]), np.array([[1.0], [0.0]]))
+_U = StationaryPolicy([0, 0])
+_H = HyperbolicSchedule(1.0, 1.0)
+_WINDOW_CALLS = {
+    "exact_discounted_value": lambda k, n: exact_discounted_value(_REF, _U, _H, k, n, 0),
+    "exact_risk_value": lambda k, n: exact_risk_value(_REF, _U, _H, 0.5, k, n, 0),
+    "simulate": lambda k, n: simulate(_REF, _U, _H, k, n, 0, seed=1, reps=2),
+    "sandwich_check": lambda k, n: sandwich_check(_REF, _U, _H, 0.5, k, n, 0),
+    "risk_upper_bound_check": lambda k, n: risk_upper_bound_check(_REF, _H, 0.5, k, n, [_U]),
+    "time_extended_solve": lambda k, n: time_extended_solve(_REF, _H, k, n),
+    "risk_time_extended_solve": lambda k, n: risk_time_extended_solve(_REF, _H, 0.5, k, n),
+    "exact_event_probability": lambda k, n: exact_event_probability(_REF.kernel[0], _H, k, n, [2.0, 1.0], 0.02, 0),
+    "near_optimality_margin": lambda k, n: near_optimality_margin(_REF, _U, _H, 0.1, -0.001, k, n),
+    # n is the trajectory's length here
+    "weighted_empirical": lambda k, n: weighted_empirical([0, 1, 1], _H, k),
+    # the audited window is [0, n + 1)
+    "validate_schedule": lambda k, n: validate_schedule(_H, n),
+}
+_BAD_K = [(entry, "k", v) for entry in _WINDOW_CALLS if entry != "validate_schedule" for v in (2.5, True, -1)]
+_BAD_N = [(entry, "n", v) for entry in _WINDOW_CALLS if entry != "weighted_empirical" for v in (2.5, True, -1, 0)]
+
+
+@pytest.mark.parametrize("entry, which, value", _BAD_K + _BAD_N)
+def test_finite_horizon_entry_points_refuse_bad_windows(entry, which, value):
+    k, n = (value, 3) if which == "k" else (0, value)
+    with pytest.raises(InvalidModel):
+        _WINDOW_CALLS[entry](k, n)
+
+
+@pytest.mark.parametrize("entry", list(_WINDOW_CALLS))
+def test_finite_horizon_entry_points_take_numpy_integers(entry):
+    _WINDOW_CALLS[entry](np.int64(1), np.int64(3))
+
+
+def test_phi_array_refuses_bad_windows():
+    for start, count in ((0, 0), (-1, 2), (0.5, 2), (0, 2.0), (True, 2), (0, True), ("0", 2)):
+        with pytest.raises(InvalidModel, match=r"schedule window \[k, k \+ n\)"):
+            UnitSchedule().phi_array(start, count)
+    assert (UnitSchedule().phi_array(np.uint8(2), np.int32(3)) == 1.0).all()
+
+
 def test_phi_partial_sum_examples(hyperbolic, unit):
     assert phi_partial_sum(unit, 0, 7) == 7.0
     assert phi_partial_sum(hyperbolic, 0, 4) == pytest.approx(25.0 / 12.0)
@@ -554,6 +643,15 @@ def test_model_dict_rejects_mismatched_counts(reference_model):
     data = model_to_dict(reference_model)
     data["n_states"] = 3
     with pytest.raises(InvalidModel):
+        model_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [("n_states", 2.7), ("n_states", "2"), ("n_actions", True), ("n_states", 2.0)])
+def test_model_dict_rejects_non_integer_counts(reference_model, field, value):
+    # int() used to turn each of these into the right count
+    data = model_to_dict(reference_model)
+    data[field] = value
+    with pytest.raises(InvalidModel, match="must be integers"):
         model_from_dict(data)
 
 
