@@ -25,6 +25,7 @@ from .model import (
     Model,
     StationaryPolicy,
     _horizon_grid,
+    _indices,
     span_seminorm,
 )
 
@@ -73,8 +74,7 @@ def _check_solver_inputs(model: Model, tol: float, anchor: int = 0) -> float:
     delta = model.ergodicity
     if delta >= 1.0:
         raise NotErgodic(f"ergodicity coefficient is {delta}; need < 1")
-    if not 0 <= anchor < model.n_states:
-        raise InvalidModel("anchor state out of range")
+    _indices(anchor, model.n_states, "anchor state")
     return delta
 
 

@@ -79,8 +79,8 @@ _GENERATOR_FIELDS = {"n_states": int, "n_actions": int, "min_entry": float, "see
 # the README and the benchmark is below its cap; the exact ergodicity
 # coefficient of a 500 x 10 generated model takes about 10 s on a 2-vCPU VM.
 _SIZE_CAPS = {
-    "horizon": 100_000, "horizons": 100_000, "window": 10_000, "panel_size": 1_000, "reps": 10_000,
-    "n_states": 500, "n_actions": 10,
+    "horizon": 100_000, "horizons": 100_000, "n_grid": 100_000, "window": 10_000,
+    "panel_size": 1_000, "reps": 10_000, "n_states": 500, "n_actions": 10,
 }
 
 

@@ -2,11 +2,12 @@
 functionals, seeded Monte-Carlo estimation, and the inequality checks that
 tie finite-horizon values to the solved long-run gains.
 
-Every policy is read as one (n, n_states) action table over the evaluated
-window, and both exact expectations come from one forward recursion of the
-state distribution, tilted by exp(gamma * phi * c) per step for the risk
-functional and untilted for the discounted one, costing O(n * n_states^2);
-nothing in this module enumerates paths.
+Every policy is read through model._policy_actions as one (n, n_states)
+action table over the evaluated window, and both exact expectations come
+from one forward recursion of the state distribution, tilted by
+exp(gamma * phi * c) per step for the risk functional and untilted for the
+discounted one, costing O(n * n_states^2); nothing in this module
+enumerates paths.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from .errors import CheckFailed, GammaNotAllowed, InvalidModel
 from .model import (
     DiscountSchedule,
     Model,
-    StationaryPolicy,
     TimeVaryingPolicy,
     _horizon_grid,
+    _indices,
+    _policy_actions,
 )
 from .average_solver import relative_value_iteration
 from .risk_solver import risk_relative_value_iteration
@@ -60,24 +62,11 @@ def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, x:
     partial reward overflows."""
     phi = schedule.phi_array(k, n)
     norm = schedule.partial_sum(k, n)
-    if isinstance(policy, StationaryPolicy):
-        table = np.asarray(policy.actions, dtype=int)[None, :]
-        rows = np.zeros(n, dtype=int)
-    elif isinstance(policy, TimeVaryingPolicy):
-        table = policy.table
-        rows = np.clip(np.arange(k, k + n) - policy.start, 0, len(table) - 1)
-    else:
-        raise InvalidModel(f"unsupported policy type {type(policy).__name__}")
-    if table.shape[1] != model.n_states:
-        raise InvalidModel(f"policy covers {table.shape[1]} states, model has {model.n_states}")
-    actions = table[rows]
-    if (actions >= model.n_actions).any():
-        raise InvalidModel("policy uses an action index outside the model's action set")
+    actions = _policy_actions(model, policy, k, n)
     c = model.reward[np.arange(model.n_states), actions]
     if not math.isfinite(abs(gamma) * norm * float(np.abs(c).max())):
         raise GammaNotAllowed(f"|gamma| = {abs(gamma)} times the window's reward mass exceeds the float range")
-    if not 0 <= x < model.n_states:
-        raise InvalidModel("start state out of range")
+    _indices(x, model.n_states, "start state")
     return phi, norm, actions, c
 
 
@@ -248,7 +237,9 @@ class CheckReport:
         return [r for r in self.rows if not r.passed]
 
 
-def _finish(report: CheckReport) -> CheckReport:
+def _finish(name: str, rows: list, context: dict) -> CheckReport:
+    """The report of a check; raises CheckFailed with it when a row failed."""
+    report = CheckReport(name=name, passed=all(r.passed for r in rows), rows=rows, context=context)
     if not report.passed:
         bad = report.failures()[0]
         raise CheckFailed(f"{report.name}: {bad.label} gave {bad.value!r} vs bound {bad.bound!r}", report)
@@ -292,13 +283,7 @@ def discounted_optimality_check(
             rows.append(
                 CheckRow(label=f"panel policy {idx}, n={n}", value=res.value, bound=bound, passed=res.value <= bound)
             )
-    report = CheckReport(
-        name="discounted optimality",
-        passed=all(r.passed for r in rows),
-        rows=rows,
-        context={"lambda": sol.lam, "w_max": w_max, "k": k, "x": x},
-    )
-    return _finish(report)
+    return _finish("discounted optimality", rows, {"lambda": sol.lam, "w_max": w_max, "k": k, "x": x})
 
 
 def risk_upper_bound_check(
@@ -333,14 +318,9 @@ def risk_upper_bound_check(
         rows.append(
             CheckRow(label=f"panel policy {idx}", value=res.value, bound=bound, passed=res.value <= bound)
         )
-    report = CheckReport(
-        name="risk upper bound",
-        passed=all(r.passed for r in rows),
-        rows=rows,
-        context={"lambda_gamma": sol.lam, "gamma": gamma, "slack": slack, "k": k, "n": n, "x": x,
-                 "certificate": sol.certificate},
-    )
-    return _finish(report)
+    context = {"lambda_gamma": sol.lam, "gamma": gamma, "slack": slack, "k": k, "n": n, "x": x,
+               "certificate": sol.certificate}
+    return _finish("risk upper bound", rows, context)
 
 
 def sandwich_check(
@@ -366,10 +346,5 @@ def sandwich_check(
         CheckRow(label="risk(-gamma) <= discounted", value=lower, bound=mid + CHECK_SLACK, passed=lower <= mid + CHECK_SLACK),
         CheckRow(label="discounted <= risk(+gamma)", value=mid, bound=upper + CHECK_SLACK, passed=mid <= upper + CHECK_SLACK),
     ]
-    report = CheckReport(
-        name="sandwich",
-        passed=all(r.passed for r in rows),
-        rows=rows,
-        context={"gamma": gamma, "k": k, "n": n, "x": x, "lower": lower, "mid": mid, "upper": upper},
-    )
-    return _finish(report)
+    context = {"gamma": gamma, "k": k, "n": n, "x": x, "lower": lower, "mid": mid, "upper": upper}
+    return _finish("sandwich", rows, context)

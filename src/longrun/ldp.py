@@ -39,8 +39,10 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
+    _check_window,
     _finite_number,
     _horizon_grid,
+    _indices,
 )
 from .average_solver import stationary_distribution
 from .evaluator import exact_risk_value
@@ -92,18 +94,12 @@ def weighted_empirical(
     trajectory, schedule: DiscountSchedule, k: int, n_states: int | None = None
 ) -> WeightedEmpiricalMeasure:
     """Weighted empirical measure nu(y) = sum phi(k+j) 1{X_j = y} / sum phi."""
-    traj = np.asarray(trajectory, dtype=int)
-    if traj.ndim != 1 or traj.size == 0:
-        raise InvalidModel("trajectory must be a nonempty state sequence")
-    if (traj < 0).any():
-        raise InvalidModel("trajectory contains negative state indices")
-    s = int(traj.max()) + 1 if n_states is None else int(n_states)
-    if (traj >= s).any():
-        raise InvalidModel("trajectory contains states outside the declared space")
+    size = None if n_states is None else int(_indices(n_states, None, "n_states"))
+    traj = _indices(trajectory, size, "trajectory states", 1)
     n = traj.size
     phi = schedule.phi_array(k, n)
     norm = schedule.partial_sum(k, n)
-    nu = np.bincount(traj, weights=phi, minlength=s) / norm
+    nu = np.bincount(traj, weights=phi, minlength=size or 0) / norm
     return WeightedEmpiricalMeasure(nu=nu, start=k, horizon=n, schedule=schedule)
 
 
@@ -128,7 +124,7 @@ class RateReport:
     converged: bool
 
 
-def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int = 0) -> RateReport:
+def rate_function(P, nu, d: float | None = None) -> RateReport:
     """Donsker-Varadhan rate of nu against the kernel P.
 
     Maximizes nu.ln(f) - nu.ln(Pf) over positive test functions f = e^g.
@@ -137,8 +133,7 @@ def rate_function(P, nu, d: float | None = None, restarts: int = 16, seed: int =
     box) by one projected Newton ascent from g = 0 (Bertsekas 1982) on the
     Hessian Q^T diag(nu) Q - diag(nu Q), with Armijo backtracking along the
     projected path.  The maximizer's ratio max f / min f is at most d.  The
-    value is zero exactly at invariant measures.  A concave problem needs no
-    restarts, so restarts and seed are accepted and not used.
+    value is zero exactly at invariant measures.
     """
     P = _require_ergodic(P)
     nu = np.asarray(nu, dtype=float)
@@ -331,29 +326,33 @@ def exact_event_probability(
 
     Full path enumeration from x, level by level in a fixed order, with
     exact probability accumulation; guarded to n <= 20 in general and
-    n <= 22 for two-state chains, and to 2^27 paths.  The value is the
-    float that ldp_upper_bound_check maximizes over start states.
+    n <= 22 for two-state chains, and to 2^27 paths, once the start state
+    and the window are checked.  The value is the float that
+    ldp_upper_bound_check maximizes over start states.
     """
     P = _require_ergodic(P)
-    steps, threshold = _enumeration_inputs(P, schedule, k, n, f, kappa, x)
-    return _enumerate_mass(_cycle_table(P, n), steps, 1, *_start(steps, x), threshold)
+    _indices(x, P.shape[0], "start state")
+    [(steps, norm)] = _enumeration_inputs(P, schedule, k, [n], f)
+    return _enumerate_mass(_cycle_table(P, n), steps, 1, *_start(steps, x), kappa * norm)
 
 
-def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n: int, f, kappa: float, x: int = 0):
-    """The guards of an enumeration over horizon n on a checked kernel, then
-    its steps phi(k + i) ln(f/Pf) (one row per step) and its threshold."""
+def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n_grid, f):
+    """The window check and the guard of every horizon n of n_grid, all
+    before any phi work, then per horizon the steps phi(k + i) ln(f/Pf) (one
+    row per step) of an enumeration on a checked kernel and the phi partial
+    sum, which kappa turns into its threshold."""
     s = P.shape[0]
-    if not (n <= 20 or (s == 2 and n <= 22)):
-        raise EnumerationTooLarge(f"horizon {n} with {s} states exceeds the enumeration guard")
-    if s ** (n - 1) > (1 << 27):
-        raise EnumerationTooLarge(f"{s ** (n - 1)} paths exceed the workable enumeration budget")
-    if not 0 <= x < s:
-        raise InvalidModel("start state out of range")
+    for n in n_grid:
+        _check_window(k, n)
+        if not (n <= 20 or (s == 2 and n <= 22)):
+            raise EnumerationTooLarge(f"horizon {n} with {s} states exceeds the enumeration guard")
+        if s ** (n - 1) > (1 << 27):
+            raise EnumerationTooLarge(f"{s ** (n - 1)} paths exceed the workable enumeration budget")
     f = np.asarray(f, dtype=float)
     if f.shape != (s,) or not np.isfinite(f).all() or f.min() <= 0.0:
         raise InvalidModel("f must be a finite positive vector")
     r = np.log(f) - np.log(P @ f)
-    return schedule.phi_array(k, n)[:, None] * r, kappa * schedule.partial_sum(k, n)
+    return [(schedule.phi_array(k, n)[:, None] * r, schedule.partial_sum(k, n)) for n in n_grid]
 
 
 def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> float:
@@ -416,7 +415,7 @@ def ldp_upper_bound_check(
     exact_event_probability over the start states, bit for bit, but a start
     is enumerated in full only when its pruned bracket cannot certify it
     below the largest mass found so far (_worst_start_mass).  The guards of
-    exact_event_probability apply to every row before any of its work.
+    exact_event_probability apply to every row before any phi work.
     """
     Pm = _require_ergodic(P)
     if _finite_number(kappa, "kappa") < 0.0:
@@ -427,9 +426,8 @@ def ldp_upper_bound_check(
     n_grid = sorted(_horizon_grid(n_grid))
     d = float(f.max() / f.min())
     rows = []
-    for n in n_grid:
-        norm = schedule.partial_sum(k, n)
-        q = _worst_start_mass(Pm, *_enumeration_inputs(Pm, schedule, k, n, f, kappa))
+    for n, (steps, norm) in zip(n_grid, _enumeration_inputs(Pm, schedule, k, n_grid, f)):
+        q = _worst_start_mass(Pm, steps, kappa * norm)
         bound = d * math.exp(-kappa * norm)
         decay = math.log(q) / norm if q > 0.0 else -math.inf
         rows.append(

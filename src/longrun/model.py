@@ -9,9 +9,12 @@ constant, risk contraction margin) that serve as preconditions and bound
 certificates downstream.
 
 DiscountSchedule owns the time axis: every finite-horizon quantity reads
-phi over a window [k, k + n) through phi_array, which alone refuses a window
-that is not given by integers k >= 0 and n >= 1, and _horizon_grid is the
-one check of a grid of horizons.
+phi over a window [k, k + n) through phi_array, and _check_window alone
+refuses a window that is not given by integers k >= 0 and n >= 1;
+_horizon_grid is the one check of a grid of horizons.  Model owns the state
+and action axes: every policy is one read-only action table, of one row when
+stationary; _policy_actions alone maps a policy to the actions of a window
+and checks them against a model, and _indices is the one index rule.
 """
 
 from __future__ import annotations
@@ -103,13 +106,11 @@ class Model:
 
     def policy_kernel(self, policy: "StationaryPolicy") -> np.ndarray:
         """Transition matrix of the chain controlled by a stationary policy."""
-        u = policy.check_against(self)
-        return self.kernel[u, np.arange(self.n_states), :]
+        return self.kernel[_policy_actions(self, policy), np.arange(self.n_states), :]
 
     def policy_reward(self, policy: "StationaryPolicy") -> np.ndarray:
         """Per-state reward c(x, u(x)) of a stationary policy."""
-        u = policy.check_against(self)
-        return self.reward[np.arange(self.n_states), u]
+        return self.reward[np.arange(self.n_states), _policy_actions(self, policy)]
 
     def under_policy(self, policy: "StationaryPolicy") -> "Model":
         """The single-action model obtained by freezing a stationary policy.
@@ -118,35 +119,26 @@ class Model:
         so its cached ergodicity coefficient is reused.
         """
         if self.n_actions == 1:
-            policy.check_against(self)
+            _policy_actions(self, policy)
             return self
         return Model(self.policy_kernel(policy)[None, :, :], self.policy_reward(policy)[:, None])
 
 
-@dataclass(frozen=True)
-class StationaryPolicy:
-    """One action index per state."""
-
-    actions: tuple
-
-    def __init__(self, actions: Sequence[int]):
-        acts = tuple(int(a) for a in actions)
-        if len(acts) == 0:
-            raise InvalidModel("policy needs at least one state")
-        if any(a < 0 for a in acts):
-            raise InvalidModel("action indices must be nonnegative")
-        object.__setattr__(self, "actions", acts)
-
-    def check_against(self, model: Model) -> np.ndarray:
-        u = np.asarray(self.actions, dtype=int)
-        if u.shape != (model.n_states,):
-            raise InvalidModel(f"policy covers {u.shape[0]} states, model has {model.n_states}")
-        if (u >= model.n_actions).any():
-            raise InvalidModel("policy uses an action index outside the model's action set")
-        return u
-
-    def __len__(self) -> int:
-        return len(self.actions)
+def _indices(values, size: int | None, what: str, ndim: int = 0) -> np.ndarray:
+    """values as an ndim-d int array of indices in [0, size) (size None: of
+    any size an int64 holds), each an int or numpy integer but no bool: the
+    one index rule for states and actions.  An ndarray is read by its dtype,
+    anything else entry by entry."""
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    except ValueError:  # rows of arrays of unequal shapes
+        arr = np.array(None)
+    if arr.ndim != ndim or not arr.size or not (arr.dtype.kind in "iu" or all(map(_is_integer, arr.flat))):
+        form = f"a nonempty {ndim}-d integer array" if ndim else "an integer"
+        raise InvalidModel(f"{what} must be {form}, got {values!r}")
+    if (arr < 0).any() or (arr >= (2**63 if size is None else size)).any():
+        raise InvalidModel(f"{what} out of range")
+    return arr.astype(int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,31 +148,60 @@ class TimeVaryingPolicy:
     Row j of the read-only (n_slices, n_states) int table applies at time
     index start + j; beyond the window the last row repeats, and indices
     before the window clamp to the first row.  Entries may be given as
-    StationaryPolicy instances or as rows of action indices.
+    StationaryPolicy instances, as rows of action indices or as one int array.
     """
 
     start: int
     table: np.ndarray
 
     def __init__(self, start: int, entries: Sequence):
-        rows = [e.actions if isinstance(e, StationaryPolicy) else e for e in entries]
-        if len(rows) < 1:
-            raise InvalidModel("time-varying policy needs at least one entry")
-        try:
-            table = np.array(rows, dtype=int)
-        except (TypeError, ValueError) as exc:
-            raise InvalidModel("entries must be nonempty action rows of one common length") from exc
-        if table.ndim != 2 or table.shape[1] == 0:
-            raise InvalidModel("entries must be nonempty action rows of one common length")
-        if (table < 0).any():
-            raise InvalidModel("action indices must be nonnegative")
+        if not _is_integer(start):
+            raise InvalidModel(f"policy start must be an integer, got {start!r}")
+        if not isinstance(entries, np.ndarray):
+            entries = [e.actions if isinstance(e, StationaryPolicy) else e for e in entries]
+        table = _indices(entries, None, "action indices", 2)
         table.setflags(write=False)
         object.__setattr__(self, "start", int(start))
         object.__setattr__(self, "table", table)
 
-    def entry_at(self, i: int) -> StationaryPolicy:
+    def entry_at(self, i: int) -> "StationaryPolicy":
         j = min(max(i - self.start, 0), len(self.table) - 1)
         return StationaryPolicy(self.table[j])
+
+
+class StationaryPolicy(TimeVaryingPolicy):
+    """One action index per state: a one-row table, equal by its actions."""
+
+    def __init__(self, actions: Sequence[int]):
+        # an int array is read as a one-row table by its dtype, in one step
+        super().__init__(0, actions[None] if isinstance(actions, np.ndarray) else [actions])
+
+    @property
+    def actions(self) -> tuple:
+        return tuple(self.table[0].tolist())
+
+    def __eq__(self, other):
+        return isinstance(other, StationaryPolicy) and self.actions == other.actions
+
+    def __hash__(self):
+        return hash(self.actions)
+
+
+def _policy_actions(model: Model, policy, k: int = 0, n: int | None = None) -> np.ndarray:
+    """The (n, n_states) actions a policy plays over the window [k, k + n),
+    checked against the model; for n None, the row of a one-row table.  The
+    one place that maps a policy to per-time actions."""
+    if not isinstance(policy, TimeVaryingPolicy):
+        raise InvalidModel(f"unsupported policy type {type(policy).__name__}")
+    table = policy.table
+    if n is None and len(table) > 1:
+        raise InvalidModel(f"need a stationary policy, got {len(table)} action rows")
+    if table.shape[1] != model.n_states:
+        raise InvalidModel(f"policy covers {table.shape[1]} states, model has {model.n_states}")
+    actions = table if n is None else table[np.clip(np.arange(k, k + n) - policy.start, 0, len(table) - 1)]
+    if (actions >= model.n_actions).any():
+        raise InvalidModel("policy uses an action index outside the model's action set")
+    return actions[0] if n is None else actions
 
 
 # --------------------------------------------------------------------------
@@ -201,6 +222,15 @@ def _finite_number(value, name: str) -> float:
 def _is_integer(value) -> bool:
     """True for an int or numpy integer, False for a bool or anything else."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_window(start, count) -> None:
+    """InvalidModel unless the window [start, start + count) is given by
+    integers start >= 0 and count >= 1 (numpy integers, but no bools)."""
+    if not (_is_integer(start) and _is_integer(count) and start >= 0 and count >= 1):
+        raise InvalidModel(
+            f"schedule window [k, k + n) needs integers k >= 0 and n >= 1, got k={start!r}, n={count!r}"
+        )
 
 
 def _horizon_grid(n_grid) -> list:
@@ -237,10 +267,7 @@ class DiscountSchedule:
     def phi_array(self, start: int, count: int) -> np.ndarray:
         """phi(start), ..., phi(start + count - 1) as a float array, for
         integers start >= 0 and count >= 1 (numpy integers, but no bools)."""
-        if not (_is_integer(start) and _is_integer(count) and start >= 0 and count >= 1):
-            raise InvalidModel(
-                f"schedule window [k, k + n) needs integers k >= 0 and n >= 1, got k={start!r}, n={count!r}"
-            )
+        _check_window(start, count)
         return self._phi(int(start), int(count))
 
     def _phi(self, start: int, count: int) -> np.ndarray:

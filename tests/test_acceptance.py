@@ -195,12 +195,12 @@ def test_criterion_10_rate_function_zeros_and_oracle():
         m = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": 200 + seed})
         P = m.policy_kernel(StationaryPolicy([0, 0, 0]))
         mu = stationary_distribution(P)
-        worst_mu = max(worst_mu, rate_function(P, mu, seed=seed).value)
+        worst_mu = max(worst_mu, rate_function(P, mu).value)
         nu = mu.copy()
         hi, lo = int(np.argmax(nu)), int(np.argmin(nu))
         nu[hi] -= 0.05
         nu[lo] += 0.05
-        worst_pert = min(worst_pert, rate_function(P, nu, seed=seed).value)
+        worst_pert = min(worst_pert, rate_function(P, nu).value)
     assert worst_mu <= 1e-6
     assert worst_pert >= 1e-4
     # two-state values against an independent dense grid scan

@@ -189,8 +189,8 @@ def test_missing_model_exits_2(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-SIZE_CAPS = {"horizon": 100_000, "horizons": 100_000, "window": 10_000, "panel_size": 1_000, "reps": 10_000,
-             "n_states": 500, "n_actions": 10}
+SIZE_CAPS = {"horizon": 100_000, "horizons": 100_000, "n_grid": 100_000, "window": 10_000, "panel_size": 1_000,
+             "reps": 10_000, "n_states": 500, "n_actions": 10}
 
 
 def test_sizes_above_their_caps_exit_2(tmp_path, capsys, model_file):
@@ -224,6 +224,18 @@ def test_sizes_above_their_caps_exit_2(tmp_path, capsys, model_file):
                                        "panel_size": 1_000, "reps": 10_000})
     longrun.cli._check_numeric_fields({"n_states": 500, "n_actions": 10, "min_entry": 0.001, "seed": 0},
                                       longrun.cli._GENERATOR_FIELDS)
+
+
+def test_ldp_horizons_past_the_guard_exit_3_and_past_the_cap_exit_2(tmp_path, capsys, model_file):
+    # a two-state chain is enumerated up to n = 22; beyond, the guard refuses
+    # every row before any phi work, and an entry above the cap is a usage error
+    cfg = tmp_path / "cfg.json"
+    for grid, code in (([8, 23], 3), ([8, 100_000], 3), ([8, 100_001], 2), ([8, 30_000_000], 2)):
+        cfg.write_text(json.dumps({"n_grid": grid}), encoding="utf-8")
+        assert main(["ldp-check", "--config", str(cfg), "--model", model_file, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "n_grid must be at most 100000, got 30000000" in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -78,7 +78,7 @@ def reference_deviation_rate_infimum(P, cu, eps):
             def objective(v):
                 v = np.clip(v, 1e-12, None)
                 v = v / v.sum()
-                rep = rate_function(P, v, restarts=4, seed=1)
+                rep = rate_function(P, v)
                 return rep.value, np.log(rep.maximizer) - np.log(P @ rep.maximizer)
 
             for v0 in starts:

@@ -118,7 +118,7 @@ def test_rate_zero_at_invariant_random_kernels():
         m = random_model(seed)
         P = m.policy_kernel(StationaryPolicy([0] * m.n_states))
         mu = stationary_distribution(P)
-        assert rate_function(P, mu, seed=seed).value <= 1e-6
+        assert rate_function(P, mu).value <= 1e-6
 
 
 def test_rate_point_mass_uniform_chain():
@@ -300,6 +300,41 @@ def test_event_probability_guard():
     assert 0.0 <= q <= 1.0
 
 
+class RecordingSchedule(UnitSchedule):
+    """The unit schedule, recording every window phi is asked for."""
+
+    def __init__(self):
+        self.windows = []
+
+    def phi_array(self, start, count):
+        self.windows.append((start, count))
+        return super().phi_array(start, count)
+
+
+def test_every_row_is_guarded_before_any_phi_work():
+    # a horizon of 3e7 used to read phi over [0, 3e7) for its partial sum,
+    # about 240 MB, before its guard refused it
+    sched = RecordingSchedule()
+    with pytest.raises(EnumerationTooLarge):
+        ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), 0.02, sched, 0, [8, 30_000_000])
+    assert sched.windows == []
+    assert ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), 0.02, sched, 0, [8]).passed
+    assert sched.windows
+
+
+@pytest.mark.parametrize(
+    "k, n, x",
+    [(0, "5", 0), (0, 25.5, 0), (0, True, 0), (0, 0, 0), (-1, 25, 0), (0.5, 25, 0), (0, 25, 2), (0, 25, True),
+     (0, 25, 0.5)],
+)
+def test_event_probability_checks_window_and_start_before_the_guard(k, n, x):
+    # n = "5" used to raise a bare TypeError, and n = 25.5 EnumerationTooLarge
+    sched = RecordingSchedule()
+    with pytest.raises(InvalidModel):
+        exact_event_probability(REF_P, sched, k, n, np.array([2.0, 1.0]), 0.02, x)
+    assert sched.windows == []
+
+
 def test_event_probability_matches_monte_carlo(hyperbolic):
     f = np.array([2.0, 1.0])
     q = exact_event_probability(REF_P, hyperbolic, 0, 14, f, 0.05, 0)
@@ -470,7 +505,7 @@ def test_deviation_rate_three_states_boundary_oracle():
     oracle = math.inf
     for target in (m0 + eps, m0 - eps):
         for nu in _plane_simplex_segment(cu, target):
-            oracle = min(oracle, rate_function(P, nu, restarts=2, seed=2).value)
+            oracle = min(oracle, rate_function(P, nu).value)
     assert e == pytest.approx(oracle, abs=2e-4)
 
 

@@ -25,11 +25,14 @@ from longrun import (
     exact_risk_value,
     deviation_rate_infimum,
     gamma_sweep,
+    invariant_measure,
     ldp_upper_bound_check,
     near_optimality_margin,
     phi_partial_sum,
     poisson_solve,
+    relative_value_iteration,
     risk_contraction_margin,
+    risk_relative_value_iteration,
     risk_time_extended_solve,
     risk_upper_bound_check,
     sandwich_check,
@@ -77,9 +80,9 @@ def test_model_arrays_are_immutable(reference_model):
 
 def test_policy_bounds_checked(reference_model):
     with pytest.raises(InvalidModel):
-        StationaryPolicy([0, 5]).check_against(reference_model)
+        reference_model.policy_kernel(StationaryPolicy([0, 5]))
     with pytest.raises(InvalidModel):
-        StationaryPolicy([0]).check_against(reference_model)
+        reference_model.policy_kernel(StationaryPolicy([0]))
     with pytest.raises(InvalidModel):
         TimeVaryingPolicy(0, [[0, 0], [0]])
     with pytest.raises(InvalidModel):
@@ -582,6 +585,89 @@ def test_phi_array_refuses_bad_windows():
         with pytest.raises(InvalidModel, match=r"schedule window \[k, k \+ n\)"):
             UnitSchedule().phi_array(start, count)
     assert (UnitSchedule().phi_array(np.uint8(2), np.int32(3)) == 1.0).all()
+
+
+# ------------------------------------------ one policy table, one index rule
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_states=st.integers(1, 4),
+    n_actions=st.integers(1, 3),
+    start=st.integers(-5, 30),
+    k=st.integers(0, 30),
+    n=st.integers(1, 12),
+    gamma=st.sampled_from([-2.0, -0.3, 0.4, 1.5]),
+    data=st.data(),
+)
+def test_a_one_row_table_is_the_stationary_policy(seed, n_states, n_actions, start, k, n, gamma, data):
+    m = random_model(seed, n_states, n_actions)
+    u = np.random.default_rng(seed).integers(0, n_actions, n_states).tolist()
+    x = data.draw(st.integers(0, n_states - 1), label="x")
+    stationary, one_row = StationaryPolicy(u), TimeVaryingPolicy(start, [u])
+    assert exact_discounted_value(m, stationary, _H, k, n, x) == exact_discounted_value(m, one_row, _H, k, n, x)
+    assert exact_risk_value(m, stationary, _H, gamma, k, n, x) == exact_risk_value(m, one_row, _H, gamma, k, n, x)
+    assert (m.policy_kernel(stationary) == m.policy_kernel(one_row)).all()
+    assert (m.policy_reward(stationary) == m.policy_reward(one_row)).all()
+
+
+_M2 = Model(np.array([[[0.75, 0.25], [0.5, 0.5]], [[0.9, 0.1], [0.6, 0.4]]]), np.array([[1.0, 1.2], [0.0, 0.1]]))
+_TWO_ROWS = TimeVaryingPolicy(0, [[0, 1], [1, 0]])
+_REFUSED = {
+    # fractions were truncated
+    "fractional actions": lambda: StationaryPolicy([0.7, 1.9]),
+    "fractional start": lambda: TimeVaryingPolicy(1.5, [[0, 1]]),
+    "fractional trajectory state": lambda: weighted_empirical([0, 1.5, 1], _H, 0),
+    "fractional state count": lambda: weighted_empirical([0, 1, 1], _H, 0, n_states=2.5),
+    # bools and strings were read as actions
+    "bool actions": lambda: StationaryPolicy([True, False]),
+    "text actions": lambda: StationaryPolicy("01"),
+    "bool action table": lambda: TimeVaryingPolicy(0, np.array([[True, False]])),
+    "float action table": lambda: TimeVaryingPolicy(0, np.array([[0.0, 1.0]])),
+    # a time-varying policy or a list raised a bare AttributeError
+    "policy_kernel of two rows": lambda: _M2.policy_kernel(_TWO_ROWS),
+    "policy_kernel of a list": lambda: _M2.policy_kernel([0, 1]),
+    "invariant_measure of two rows": lambda: invariant_measure(_M2, _TWO_ROWS),
+    "invariant_measure of a list": lambda: invariant_measure(_M2, [0, 1]),
+    "poisson_solve of two rows": lambda: poisson_solve(_M2, _TWO_ROWS),
+    "poisson_solve of a list": lambda: poisson_solve(_M2, [0, 1]),
+    "near_optimality_margin of two rows": lambda: near_optimality_margin(_M2, _TWO_ROWS, _H, 0.1, -0.001, 0, 3),
+    "near_optimality_margin of a list": lambda: near_optimality_margin(_M2, [0, 1], _H, 0.1, -0.001, 0, 3),
+    # a fractional start state raised a bare IndexError
+    "exact_discounted_value from x=0.5": lambda: exact_discounted_value(_M2, _U, _H, 0, 3, 0.5),
+    "simulate from x=0.5": lambda: simulate(_M2, _U, _H, 0, 3, 0.5, seed=1, reps=2),
+    # x=True was evaluated from state 1 and echoed as start_x=True, or raised IndexError
+    "exact_discounted_value from x=True": lambda: exact_discounted_value(_M2, _U, _H, 0, 3, True),
+    "exact_risk_value from x=True": lambda: exact_risk_value(_M2, _U, _H, 0.5, 0, 3, True),
+    "exact_event_probability from x=True": lambda: exact_event_probability(_REF.kernel[0], _H, 0, 3, [2.0, 1.0], 0.02, True),
+    # anchor=True read state 1, and anchor=0.5 raised a bare TypeError
+    "relative_value_iteration anchor=True": lambda: relative_value_iteration(_M2, anchor=True),
+    "relative_value_iteration anchor=0.5": lambda: relative_value_iteration(_M2, anchor=0.5),
+    "time_extended_solve anchor=True": lambda: time_extended_solve(_M2, _H, 0, 3, anchor=True),
+    "risk_relative_value_iteration anchor=0.5": lambda: risk_relative_value_iteration(_M2, 0.5, anchor=0.5),
+}
+
+
+@pytest.mark.parametrize("entry", list(_REFUSED))
+def test_non_integer_policies_states_and_anchors_are_refused(entry):
+    with pytest.raises(InvalidModel):
+        _REFUSED[entry]()
+
+
+def test_policies_keep_their_actions_equality_and_hash():
+    u = StationaryPolicy(np.array([1, 0, 2]))
+    assert u.actions == (1, 0, 2) and all(type(a) is int for a in u.actions)
+    assert u == StationaryPolicy([1, 0, 2]) and hash(u) == hash(StationaryPolicy((1, 0, 2)))
+    assert u != StationaryPolicy([1, 0, 1]) and u != TimeVaryingPolicy(0, [[1, 0, 2]])
+    assert TimeVaryingPolicy(np.int64(2), [u, [0, 0, 0]]).start == 2
+    # the table is read-only and a table given as an array is copied
+    rows = np.zeros((2, 3), dtype=np.int32)
+    policy = TimeVaryingPolicy(0, rows)
+    rows[0, 0] = 1
+    assert policy.table[0, 0] == 0
+    with pytest.raises(ValueError):
+        policy.table[0, 0] = 1
 
 
 def test_phi_partial_sum_examples(hyperbolic, unit):
