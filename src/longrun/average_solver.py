@@ -24,6 +24,7 @@ from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
+    _finite_number,
     _horizon_grid,
     _indices,
     span_seminorm,
@@ -68,8 +69,10 @@ def _bellman_values(model: Model, w: np.ndarray, phi: float = 1.0):
 
 
 def _check_solver_inputs(model: Model, tol: float, anchor: int = 0) -> float:
-    """Preconditions shared by every solver; returns the ergodicity coefficient."""
-    if not (math.isfinite(tol) and tol > 0):
+    """Preconditions shared by every solver and the Perron oracle, among them
+    the one tolerance rule (a finite number > 0, no bool); returns the
+    ergodicity coefficient."""
+    if not _finite_number(tol, "tolerance") > 0.0:
         raise InvalidModel(f"tolerance must be positive and finite, got {tol!r}")
     delta = model.ergodicity
     if delta >= 1.0:

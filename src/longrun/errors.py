@@ -30,7 +30,7 @@ class MarginNotSatisfied(SolverError):
 
 
 class GammaNotAllowed(SolverError):
-    """Risk factor is zero (or numerically too close to zero) or too large for the requested operation."""
+    """Risk factor is zero (or |gamma| < GAMMA_FLOOR), of the wrong sign, or too large for the requested operation."""
 
 
 class GammaOutOfRange(SolverError):

@@ -24,12 +24,16 @@ from .model import (
     TimeVaryingPolicy,
     _horizon_grid,
     _indices,
+    _is_integer,
     _policy_actions,
+    _risk_factor,
 )
 from .average_solver import relative_value_iteration
 from .risk_solver import risk_relative_value_iteration
 
 CHECK_SLACK = 1e-12
+# at most this many draws, and states times replicates, per simulated block
+_SIM_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,13 @@ def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, x:
         raise GammaNotAllowed(f"|gamma| = {abs(gamma)} times the window's reward mass exceeds the float range")
     _indices(x, model.n_states, "start state")
     return phi, norm, actions, c
+
+
+def _count(value, what: str, least: int) -> int:
+    """value as an int >= least by the integer test of _indices (no fraction, no bool); else InvalidModel."""
+    if not (_is_integer(value) and value >= least):
+        raise InvalidModel(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
@@ -136,8 +147,7 @@ def exact_risk_value(
     finite float, since the recursion keeps its scale in a running log
     normaliser; a larger |gamma| raises GammaNotAllowed.
     """
-    if gamma == 0.0:
-        raise GammaNotAllowed("risk evaluation needs gamma != 0")
+    gamma = _risk_factor(gamma)
     phi, norm, actions, c = _window(model, policy, schedule, k, n, x, gamma)
     z, log_scale = _forward(model, actions, x, gamma * phi[:, None] * c)
     total = log_scale[-1] + math.log(z[-1].sum())
@@ -159,28 +169,27 @@ def simulate(
 
     Replicate r draws its path from an independent generator seeded with
     (seed, r), so results are reproducible and independent of any execution
-    order.  The discounted estimate is the plain sample mean; the risk
-    estimate is the plug-in log-mean-exp computed with a shift.
+    order.  Blocks of replicates step together, each next state the count
+    of cumulative row entries at or below the draw (the first entry above
+    it), clamped to the last state.  The discounted estimate is the plain
+    sample mean; the risk estimate is the plug-in log-mean-exp computed
+    with a shift.
     """
-    if reps < 1:
-        raise InvalidModel("need at least one replicate")
-    if gamma == 0.0:
-        raise GammaNotAllowed("risk estimate needs gamma != 0")
+    gamma = _risk_factor(gamma)
+    reps, seed = _count(reps, "replicate count", 1), _count(seed, "seed", 0)
     phi, norm, actions, c = _window(model, policy, schedule, k, n, x0, gamma)
     cum = model.kernel.cumsum(axis=2)
     weighted = np.empty(reps)
-    for r in range(reps):
-        rng = np.random.default_rng([seed, r])
-        draws = rng.random(max(n - 1, 0))
-        state = x0
-        total = 0.0
+    block = max(1, _SIM_BLOCK // max(n - 1, model.n_states))
+    for lo in range(0, reps, block):
+        draws = np.array([np.random.default_rng([seed, r]).random(n - 1) for r in range(lo, min(lo + block, reps))])
+        state = np.full(len(draws), int(x0))
+        total = np.zeros(len(draws))
         for j in range(n):
             total += phi[j] * c[j, state]
             if j < n - 1:
-                state = int(np.searchsorted(cum[actions[j, state], state], draws[j], side="right"))
-                if state >= model.n_states:
-                    state = model.n_states - 1
-        weighted[r] = total
+                state = np.minimum((cum[actions[j, state], state] <= draws[:, j, None]).sum(axis=1), model.n_states - 1)
+        weighted[lo:lo + len(draws)] = total
     samples = weighted / norm
     disc_mean = float(samples.mean())
     disc_stderr = float(samples.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -189,28 +198,16 @@ def simulate(
     ew = np.exp(logs - shift)
     mean_ew = float(ew.mean())
     risk_est = (shift + math.log(mean_ew)) / (gamma * norm)
-    if reps > 1:
-        risk_stderr = float(ew.std(ddof=1) / (math.sqrt(reps) * mean_ew * abs(gamma) * norm))
-    else:
-        risk_stderr = 0.0
-    return SimulationResult(
-        discounted_estimate=disc_mean,
-        discounted_stderr=disc_stderr,
-        risk_estimate=risk_est,
-        risk_stderr=risk_stderr,
-        gamma=gamma,
-        horizon=n,
-        reps=reps,
-        normalizer=norm,
-    )
+    risk_stderr = float(ew.std(ddof=1) / (math.sqrt(reps) * mean_ew * abs(gamma) * norm)) if reps > 1 else 0.0
+    return SimulationResult(discounted_estimate=disc_mean, discounted_stderr=disc_stderr, risk_estimate=risk_est,
+                            risk_stderr=risk_stderr, gamma=gamma, horizon=n, reps=reps, normalizer=norm)
 
 
 def random_policy_panel(model: Model, n_slices: int, size: int, seed: int, start: int = 0) -> list:
-    """Seeded panel of time-varying policies, uniform over per-slice actions."""
-    if size < 1:
-        # a check over an empty panel would pass without comparing anything
-        raise InvalidModel(f"policy panel needs at least one policy, got {size}")
-    rng = np.random.default_rng(seed)
+    """Seeded panel of time-varying policies, uniform over per-slice actions.
+    A check over an empty panel would pass vacuously, so size is at least 1."""
+    size = _count(size, "policy panel size", 1)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     panel = []
     for _ in range(size):
         table = rng.integers(0, model.n_actions, size=(n_slices, model.n_states))
@@ -302,8 +299,7 @@ def risk_upper_bound_check(
     below the solved risk-sensitive gain plus the explicit finite-horizon
     slack assembled from the relative value function.
     """
-    if gamma <= 0:
-        raise GammaNotAllowed("the upper bound requires gamma > 0")
+    gamma = _risk_factor(gamma, 1)
     norm = schedule.partial_sum(k, n)
     sol = risk_relative_value_iteration(model, gamma, tol=tol)
     w = sol.w
@@ -337,8 +333,7 @@ def sandwich_check(
     The ordering holds at every horizon, not only in the limit, so the
     tolerance is purely numerical.
     """
-    if gamma <= 0:
-        raise GammaNotAllowed("sandwich needs gamma > 0")
+    gamma = _risk_factor(gamma, 1)
     lower = exact_risk_value(model, policy, schedule, -gamma, k, n, x).value
     mid = exact_discounted_value(model, policy, schedule, k, n, x).value
     upper = exact_risk_value(model, policy, schedule, gamma, k, n, x).value

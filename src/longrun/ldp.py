@@ -43,6 +43,7 @@ from .model import (
     _finite_number,
     _horizon_grid,
     _indices,
+    _risk_factor,
 )
 from .average_solver import stationary_distribution
 from .evaluator import exact_risk_value
@@ -68,6 +69,18 @@ _EPS = np.finfo(float).eps
 # them near the machine epsilon, below which no step can gain
 _GRAD_FLOOR = _EPS
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _test_function(f, s: int, floor: float) -> np.ndarray:
+    """f as a float vector of one finite value per state, each positive and
+    at least the caller's floor: the one rule for a test function f."""
+    try:
+        f = np.asarray(f, dtype=float)
+    except (TypeError, ValueError):  # text, or rows of unequal length
+        f = np.empty(0)
+    if f.shape != (s,) or not np.isfinite(f).all() or not (f.min() > 0.0 and f.min() >= floor):
+        raise InvalidModel(f"f must hold one value per state, finite, positive and at least {floor}")
+    return f
 
 
 def _require_ergodic(P) -> np.ndarray:
@@ -206,9 +219,7 @@ def dv_supermartingale_check(
     exact up to rounding for any horizon.  Requires min f >= 1.
     """
     P = _require_ergodic(P)
-    f = np.asarray(f, dtype=float)
-    if f.shape != (P.shape[0],) or not np.isfinite(f).all() or f.min() < 1.0:
-        raise InvalidModel("f must be a finite vector with min f >= 1")
+    f = _test_function(f, P.shape[0], 1.0)
     r = np.log(f) - np.log(P @ f)
     chain = Model(P[None, :, :], r[:, None])
     res = exact_risk_value(chain, StationaryPolicy([0] * P.shape[0]), schedule, 1.0, k, n, x)
@@ -332,27 +343,26 @@ def exact_event_probability(
     """
     P = _require_ergodic(P)
     _indices(x, P.shape[0], "start state")
-    [(steps, norm)] = _enumeration_inputs(P, schedule, k, [n], f)
+    kappa, _, [(steps, norm)] = _enumeration_inputs(P, schedule, k, [n], f, kappa, 0.0)
     return _enumerate_mass(_cycle_table(P, n), steps, 1, *_start(steps, x), kappa * norm)
 
 
-def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n_grid, f):
-    """The window check and the guard of every horizon n of n_grid, all
-    before any phi work, then per horizon the steps phi(k + i) ln(f/Pf) (one
-    row per step) of an enumeration on a checked kernel and the phi partial
-    sum, which kappa turns into its threshold."""
+def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n_grid, f, kappa, floor: float):
+    """kappa as a float, f under the caller's floor, and the window check
+    and the guard of every horizon n of n_grid, all before any phi work,
+    then per horizon the steps phi(k + i) ln(f/Pf) (one row per step) of an
+    enumeration on a checked kernel and the phi partial sum, which kappa
+    turns into its threshold."""
     s = P.shape[0]
+    kappa, f = _finite_number(kappa, "kappa"), _test_function(f, s, floor)
     for n in n_grid:
         _check_window(k, n)
         if not (n <= 20 or (s == 2 and n <= 22)):
             raise EnumerationTooLarge(f"horizon {n} with {s} states exceeds the enumeration guard")
         if s ** (n - 1) > (1 << 27):
             raise EnumerationTooLarge(f"{s ** (n - 1)} paths exceed the workable enumeration budget")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (s,) or not np.isfinite(f).all() or f.min() <= 0.0:
-        raise InvalidModel("f must be a finite positive vector")
     r = np.log(f) - np.log(P @ f)
-    return [(schedule.phi_array(k, n)[:, None] * r, schedule.partial_sum(k, n)) for n in n_grid]
+    return kappa, f, [(schedule.phi_array(k, n)[:, None] * r, schedule.partial_sum(k, n)) for n in n_grid]
 
 
 def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> float:
@@ -418,15 +428,13 @@ def ldp_upper_bound_check(
     exact_event_probability apply to every row before any phi work.
     """
     Pm = _require_ergodic(P)
-    if _finite_number(kappa, "kappa") < 0.0:
-        raise InvalidModel(f"kappa must be nonnegative, got {kappa!r}")
-    f = np.asarray(f, dtype=float)
-    if f.shape != (Pm.shape[0],) or f.min() < 1.0:
-        raise InvalidModel("f must hold one value per state and satisfy min f >= 1")
     n_grid = sorted(_horizon_grid(n_grid))
+    kappa, f, inputs = _enumeration_inputs(Pm, schedule, k, n_grid, f, kappa, 1.0)
+    if kappa < 0.0:
+        raise InvalidModel(f"kappa must be nonnegative, got {kappa!r}")
     d = float(f.max() / f.min())
     rows = []
-    for n, (steps, norm) in zip(n_grid, _enumeration_inputs(Pm, schedule, k, n_grid, f)):
+    for n, (steps, norm) in zip(n_grid, inputs):
         q = _worst_start_mass(Pm, steps, kappa * norm)
         bound = d * math.exp(-kappa * norm)
         decay = math.log(q) / norm if q > 0.0 else -math.inf
@@ -550,8 +558,7 @@ def near_optimality_margin(
     slack(n) = ln(1 + exp(-S (e - 2|gamma| max|c| + |gamma| eps))) / (|gamma| S)
     with S the phi partial sum.
     """
-    if gamma >= 0:
-        raise InvalidModel("the margin applies to negative risk factors")
+    gamma = _risk_factor(gamma, -1)
     P = model.policy_kernel(policy)
     cu = model.policy_reward(policy)
     try:
@@ -571,16 +578,8 @@ def near_optimality_margin(
     floor = lam_u - eps - slack
     values = [exact_risk_value(model, policy, schedule, gamma, k, n, x).value for x in range(model.n_states)]
     margin = min(v - floor for v in values)
-    report = MarginReport(
-        lam_u=lam_u,
-        rate_infimum=rate_e,
-        slack=slack,
-        eps=eps,
-        gamma=gamma,
-        values=values,
-        margin=margin,
-        passed=margin >= -1e-12,
-    )
+    report = MarginReport(lam_u=lam_u, rate_infimum=rate_e, slack=slack, eps=eps, gamma=gamma, values=values,
+                          margin=margin, passed=margin >= -1e-12)
     if not report.passed:
         raise CheckFailed(f"risk value fell below the near-optimality floor by {-margin!r}", report)
     return report

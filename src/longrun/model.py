@@ -15,6 +15,8 @@ _horizon_grid is the one check of a grid of horizons.  Model owns the state
 and action axes: every policy is one read-only action table, of one row when
 stationary; _policy_actions alone maps a policy to the actions of a window
 and checks them against a model, and _indices is the one index rule.
+_risk_factor is the one risk-factor rule: every entry point that divides by
+gamma reads it there, once, before any other work.
 """
 
 from __future__ import annotations
@@ -29,12 +31,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    GammaNotAllowed,
     InvalidModel,
     KernelNotPositive,
     KernelsNotEquivalent,
 )
 
 ROW_SUM_TOL = 1e-12
+# below it the 1/gamma of a risk gain or risk value loses its accuracy
+GAMMA_FLOOR = 1e-8
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -217,6 +222,18 @@ def _finite_number(value, name: str) -> float:
     if not math.isfinite(number):
         raise InvalidModel(f"{name} must be a finite number, got {value!r}")
     return number
+
+
+def _risk_factor(gamma, sign: int = 0) -> float:
+    """gamma as a float: InvalidModel unless it is a finite real number (not a
+    bool), GammaNotAllowed for |gamma| < GAMMA_FLOOR and, for sign +1 or -1,
+    for a gamma of the other sign."""
+    gamma = _finite_number(gamma, "gamma")
+    if abs(gamma) < GAMMA_FLOOR:
+        raise GammaNotAllowed(f"|gamma| < {GAMMA_FLOOR}: dividing by gamma is unstable; use the average reward")
+    if gamma * sign < 0.0:
+        raise GammaNotAllowed(f"need gamma {'>' if sign > 0 else '<'} 0, got {gamma!r}")
+    return gamma
 
 
 def _is_integer(value) -> bool:
@@ -599,6 +616,7 @@ def risk_contraction_margin(model: Model, gamma: float) -> float:
     the caller tests the threshold.  The value is 0 when the coefficient is
     0 and inf when the exponential overflows.
     """
+    gamma = _finite_number(gamma, "gamma")
     delta = model.ergodicity
     if delta == 0.0:
         return 0.0

@@ -17,24 +17,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    GammaNotAllowed,
     KernelsNotEquivalent,
     MarginNotSatisfied,
     NoConvergence,
-    NotErgodic,
 )
 from .model import (
     DiscountSchedule,
     Model,
     StationaryPolicy,
     _finite_number,
+    _risk_factor,
     equivalence_constant,
     risk_contraction_margin,
     span_seminorm,
 )
 from .average_solver import SpanSolution, _backward, _check_solver_inputs, _span_iterate, _window, poisson_solve
-
-GAMMA_FLOOR = 1e-8
 
 CERT_EQUIVALENCE = "equivalence"
 CERT_MARGIN = "margin"
@@ -87,7 +84,7 @@ def risk_span_bound(model: Model, gamma: float) -> float:
     """A-priori sup bound span(gamma c) - ln(1 - margin) on the relative value.
 
     Only available when the risk contraction margin is below 1; raises
-    MarginNotSatisfied otherwise.
+    MarginNotSatisfied otherwise.  Defined at gamma = 0.
     """
     margin = risk_contraction_margin(model, gamma)
     if margin >= 1.0:
@@ -100,8 +97,9 @@ def certificate_for(model: Model, gamma: float):
 
     Tries the row-equivalence bound and the contraction-margin bound and
     returns (name, value).  When neither holds the solve may still proceed
-    on a finite model, flagged ("uncertified", inf).
+    on a finite model, flagged ("uncertified", inf).  Defined at gamma = 0.
     """
+    gamma = _finite_number(gamma, "gamma")
     candidates = []
     try:
         k_const = equivalence_constant(model)
@@ -115,15 +113,6 @@ def certificate_for(model: Model, gamma: float):
     if not candidates:
         return CERT_NONE, math.inf
     return min(candidates, key=lambda c: c[1])
-
-
-def _check_gamma(gamma: float) -> float:
-    gamma = _finite_number(gamma, "gamma")
-    if abs(gamma) < GAMMA_FLOOR:
-        raise GammaNotAllowed(
-            f"|gamma| < {GAMMA_FLOOR}: the 1/gamma gain extraction is unstable; use poisson_solve"
-        )
-    return gamma
 
 
 def _risk_values(model: Model, gamma: float, w: np.ndarray, phi: float = 1.0):
@@ -160,22 +149,14 @@ def risk_relative_value_iteration(
     extremum is a sup for gamma > 0 and an inf for gamma < 0; both signs run
     through the same code path.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _risk_factor(gamma)
     _check_solver_inputs(model, tol, anchor)
     cert, bound = certificate_for(model, gamma)
     sweep = functools.partial(_risk_values, model, gamma)
     w, values, actions, iterations = _span_iterate(model, sweep, tol, max_iter)
     resid = values - w
-    return RiskSolution(
-        gamma=gamma,
-        w=w,
-        lam=float(resid[anchor]) / gamma,
-        residual=span_seminorm(resid),
-        iterations=iterations,
-        policy=StationaryPolicy(actions),
-        certificate=cert,
-        bound=bound,
-    )
+    return RiskSolution(gamma=gamma, w=w, lam=float(resid[anchor]) / gamma, residual=span_seminorm(resid),
+                        iterations=iterations, policy=StationaryPolicy(actions), certificate=cert, bound=bound)
 
 
 def multiplicative_poisson_solve(
@@ -186,6 +167,7 @@ def multiplicative_poisson_solve(
     max_iter: int = 1_000_000,
 ) -> RiskSolution:
     """Solve the multiplicative Poisson equation for a fixed stationary policy."""
+    gamma = _risk_factor(gamma)
     sub = model.under_policy(policy)
     sol = risk_relative_value_iteration(sub, gamma, tol=tol, max_iter=max_iter)
     return replace(sol, policy=policy)
@@ -205,10 +187,9 @@ def perron_oracle(
     shares, on the rescaled matrix exp(gamma (c - max c)) P_u, to a relative
     bracket gap tol.  Independent of the log-space span iteration.
     """
-    gamma = _check_gamma(gamma)
+    gamma = _risk_factor(gamma)
     sub = model.under_policy(policy)
-    if sub.ergodicity >= 1.0:
-        raise NotErgodic("policy kernel has ergodicity coefficient >= 1")
+    _check_solver_inputs(sub, tol)
     c = sub.reward[:, 0]
     c_max = float(c.max())
     lo, hi = _perron_bracket(np.exp(gamma * (c - c_max))[:, None] * sub.kernel[0], tol, max_iter)
@@ -279,7 +260,7 @@ def risk_time_extended_solve(
     solution is reported through slice_residuals (converged is True when the
     first slice's residual is at most tol).
     """
-    gamma = _check_gamma(gamma)
+    gamma = _risk_factor(gamma)
     _check_solver_inputs(model, tol)
     phi = _window(schedule, k, n_slices)
     cert, bound = certificate_for(model, gamma)

@@ -330,6 +330,17 @@ def test_risk_factor_beyond_exp_overflow(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_risk_factor_below_the_floor_is_a_precondition(tmp_path):
+    # on the README model ldp-check --gamma=-1e-300 exited 1 with a margin of
+    # -1.7e282, and evaluate --gamma 1e-300 exited 0 with a risk value of 2.3e283
+    out = tmp_path / "gen"
+    assert main(["gen-model", "--states", "3", "--actions", "2", "--min-entry", "0.05", "--seed", "7",
+                 "--out", str(out)]) == 0
+    model = ["--model", str(out / "model.json")]
+    assert main(["ldp-check", "--gamma=-1e-300", "--out", str(tmp_path / "ldp")] + model) == 3
+    assert main(["evaluate", "--gamma", "1e-300", "--out", str(tmp_path / "eval")] + model) == 3
+
+
 def test_evaluate_task(model_file, tmp_path):
     out = tmp_path / "ev"
     assert main(["evaluate", "--model", model_file, "--schedule", "hyperbolic:1,1",

@@ -150,7 +150,7 @@ def test_thresholds_at_the_extreme_path_sums(seed, side):
     f = 1.0 + rng.random(s)
     n = 6
     sched = SCHEDULES[seed % 3]
-    [(steps, _)] = ldp._enumeration_inputs(P, sched, 0, [n], f)
+    _, _, [(steps, _)] = ldp._enumeration_inputs(P, sched, 0, [n], f, 0.0, 0.0)
     extreme = steps.min(axis=1) if side == "min" else steps.max(axis=1)
     total = float(np.cumsum(extreme)[-1])
     r = np.log(f) - np.log(P @ f)

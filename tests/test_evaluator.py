@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import longrun.evaluator
 from longrun import (
     CheckFailed,
     GammaNotAllowed,
@@ -11,6 +12,7 @@ from longrun import (
     Model,
     StationaryPolicy,
     TimeVaryingPolicy,
+    UnitSchedule,
     discounted_optimality_check,
     exact_discounted_value,
     exact_risk_value,
@@ -213,6 +215,92 @@ def test_simulate_deterministic(reference_model, reference_policy, hyperbolic):
     assert a == b
     c = simulate(reference_model, reference_policy, hyperbolic, 0, 30, 0, seed=10, reps=200)
     assert c.discounted_estimate != a.discounted_estimate
+
+
+def _scalar_simulated_sums(model, policy, schedule, k, n, x0, seed, reps):
+    """The per-replicate phi-weighted reward sums, one path at a time: the
+    reference of the blocked simulator."""
+    phi = schedule.phi_array(k, n)
+    cum = model.kernel.cumsum(axis=2)
+    weighted = np.empty(reps)
+    for r in range(reps):
+        draws = np.random.default_rng([seed, r]).random(max(n - 1, 0))
+        state, total = x0, 0.0
+        for j in range(n):
+            u = policy.entry_at(k + j).actions[state]
+            total += phi[j] * model.reward[state, u]
+            if j < n - 1:
+                state = min(int(np.searchsorted(cum[u, state], draws[j], side="right")), model.n_states - 1)
+        weighted[r] = total
+    return weighted
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_blocked_simulation_equals_the_scalar_loop(seed, hyperbolic):
+    from conftest import random_model
+
+    m = random_model(seed, 4, 3)
+    policy = TimeVaryingPolicy(1, np.random.default_rng(seed).integers(0, 3, (6, 4)))
+    for n in (1, 2, 8, 50):
+        norm = hyperbolic.partial_sum(2, n)
+        weighted = _scalar_simulated_sums(m, policy, hyperbolic, 2, n, 1, seed, 300)
+        sim = simulate(m, policy, hyperbolic, 2, n, 1, seed=seed, reps=300, gamma=0.7)
+        assert sim.discounted_estimate == float((weighted / norm).mean())
+        assert sim.discounted_stderr == float((weighted / norm).std(ddof=1) / math.sqrt(300))
+        logs = 0.7 * weighted
+        assert sim.risk_estimate == (logs.max() + math.log(float(np.exp(logs - logs.max()).mean()))) / (0.7 * norm)
+
+
+def test_simulation_blocks_do_not_change_the_result(monkeypatch, hyperbolic):
+    from conftest import random_model
+
+    m = random_model(3, 4, 3)
+    policy = TimeVaryingPolicy(0, np.random.default_rng(3).integers(0, 3, (5, 4)))
+    whole = simulate(m, policy, hyperbolic, 1, 8, 2, seed=3, reps=30)
+    # blocks of 50 // 7 = 7 replicates, the last one of 2
+    monkeypatch.setattr(longrun.evaluator, "_SIM_BLOCK", 50)
+    assert simulate(m, policy, hyperbolic, 1, 8, 2, seed=3, reps=30) == whole
+
+
+def test_a_draw_above_the_rounded_row_mass_lands_in_the_last_state(monkeypatch, unit):
+    # a row may sum to 1 - 1e-13, below the largest draws of a generator
+    m = Model(np.array([[[0.5, 0.5 - 1e-13], [0.5, 0.5 - 1e-13]]]), np.array([[0.0], [1.0]]))
+
+    class LargestDraws:
+        def __init__(self, seed):
+            pass
+
+        def random(self, size):
+            return np.full(size, 1.0 - 2.0**-53)
+
+    monkeypatch.setattr(np.random, "default_rng", LargestDraws)
+    sim = simulate(m, StationaryPolicy([0, 0]), unit, 0, 5, 0, seed=0, reps=3)
+    assert sim.discounted_estimate == pytest.approx(0.8, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("reps", 2.5), ("reps", True), ("reps", 0), ("reps", "3"), ("seed", -1), ("seed", 1.0),
+                     ("seed", True)]
+)
+def test_simulate_refuses_fractional_bool_and_negative_counts(reference_model, reference_policy, hyperbolic,
+                                                              field, value):
+    # reps = 2.5 and reps = True raised a bare TypeError, seed = -1 a bare ValueError
+    kwargs = {"seed": 1, "reps": 3, field: value}
+    with pytest.raises(InvalidModel, match=field if field == "seed" else "replicate count"):
+        simulate(reference_model, reference_policy, hyperbolic, 0, 5, 0, **kwargs)
+
+
+@pytest.mark.parametrize("field, value", [("size", 2.5), ("size", True), ("size", 0), ("seed", -1), ("seed", 0.5)])
+def test_policy_panel_refuses_fractional_bool_and_negative_counts(two_action_model, field, value):
+    # size = 2.5 raised a TypeError, seed = -1 a ValueError
+    kwargs = {"size": 3, "seed": 1, field: value}
+    with pytest.raises(InvalidModel, match="policy panel size" if field == "size" else "seed"):
+        random_policy_panel(two_action_model, 4, **kwargs)
+
+
+def test_seeds_have_no_upper_limit(two_action_model, reference_model, reference_policy):
+    assert len(random_policy_panel(two_action_model, 4, 2, seed=2**70)) == 2
+    assert simulate(reference_model, reference_policy, UnitSchedule(), 0, 5, 0, seed=2**70, reps=2).reps == 2
 
 
 def test_simulate_matches_exact_within_stderr(unit):

@@ -10,6 +10,7 @@ from scipy import optimize, special
 from longrun import (
     EmptyDeviationSet,
     EnumerationTooLarge,
+    GammaNotAllowed,
     GammaOutOfRange,
     HyperbolicSchedule,
     InvalidModel,
@@ -386,6 +387,34 @@ def test_upper_bound_check_requires_finite_nonnegative_kappa(unit):
             ldp_upper_bound_check(REF_P, np.array([2.0, 1.0]), kappa, unit, 0, [4])
 
 
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf"), "x", True])
+def test_event_probability_reads_kappa_as_a_finite_number(unit, kappa):
+    # kappa = nan gave probability 0.0, and kappa = "x" raised a bare TypeError
+    with pytest.raises(InvalidModel, match="kappa"):
+        exact_event_probability(REF_P, unit, 0, 4, np.array([2.0, 1.0]), kappa, 0)
+
+
+def test_event_probability_takes_a_negative_kappa(unit):
+    # every path sum of ln(f/Pf) is above -4 * 0.41, so all paths count
+    assert exact_event_probability(REF_P, unit, 0, 4, np.array([2.0, 1.0]), -1.0, 0) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("f", [[2.0], [2.0, float("nan")], [2.0, 0.0], "x", [[2.0], [1.0, 1.0]]],
+                         ids=["short", "nan", "zero", "text", "ragged"])
+def test_one_rule_for_the_test_function(unit, f):
+    for call in (
+        lambda: dv_supermartingale_check(REF_P, f, unit, 0, 4, 0),
+        lambda: exact_event_probability(REF_P, unit, 0, 4, f, 0.02, 0),
+        lambda: ldp_upper_bound_check(REF_P, f, 0.02, unit, 0, [4]),
+    ):
+        with pytest.raises(InvalidModel, match="one value per state"):
+            call()
+    # the floor is the caller's: 0.5 is a positive f, below the floor 1 of the checks
+    assert 0.0 <= exact_event_probability(REF_P, unit, 0, 4, [2.0, 0.5], 0.02, 0) <= 1.0
+    with pytest.raises(InvalidModel, match="at least 1.0"):
+        ldp_upper_bound_check(REF_P, [2.0, 0.5], 0.02, unit, 0, [4])
+
+
 def test_upper_bound_check_needs_a_horizon(unit):
     # an empty grid would pass without a single row
     with pytest.raises(InvalidModel, match="at least one horizon"):
@@ -566,5 +595,5 @@ def test_margin_below_the_rate_resolution_names_the_threshold(reference_model, r
 
 
 def test_margin_requires_negative_gamma(reference_model, reference_policy, hyperbolic):
-    with pytest.raises(InvalidModel):
+    with pytest.raises(GammaNotAllowed):
         near_optimality_margin(reference_model, reference_policy, hyperbolic, 0.1, 0.5, 0, 100)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longrun import (
+    GammaNotAllowed,
     HyperbolicSchedule,
     InvalidModel,
     KernelNotPositive,
@@ -27,12 +28,15 @@ from longrun import (
     gamma_sweep,
     invariant_measure,
     ldp_upper_bound_check,
+    multiplicative_poisson_solve,
     near_optimality_margin,
+    perron_oracle,
     phi_partial_sum,
     poisson_solve,
     relative_value_iteration,
     risk_contraction_margin,
     risk_relative_value_iteration,
+    risk_span_bound,
     risk_time_extended_solve,
     risk_upper_bound_check,
     sandwich_check,
@@ -45,7 +49,8 @@ from longrun import (
 )
 import longrun.model
 from longrun.cli import gen_model, main
-from longrun.model import load_model, model_from_dict, model_to_dict, save_model, schedule_from_dict
+from longrun.model import GAMMA_FLOOR, _risk_factor, load_model, model_from_dict, model_to_dict, save_model, schedule_from_dict
+from longrun.risk_solver import certificate_for
 
 from conftest import random_model
 
@@ -653,6 +658,63 @@ _REFUSED = {
 def test_non_integer_policies_states_and_anchors_are_refused(entry):
     with pytest.raises(InvalidModel):
         _REFUSED[entry]()
+
+
+# ------------------------------------------------- one risk-factor rule
+
+# every entry point that divides by gamma, with the sign of gamma it admits
+# (0: either sign)
+_GAMMA_CALLS = {
+    "exact_risk_value": (0, lambda g: exact_risk_value(_M2, _U, _H, g, 0, 5, 0)),
+    "simulate": (0, lambda g: simulate(_M2, _U, _H, 0, 5, 0, seed=1, reps=2, gamma=g)),
+    "risk_upper_bound_check": (1, lambda g: risk_upper_bound_check(_M2, _H, g, 0, 5, [_U])),
+    "sandwich_check": (1, lambda g: sandwich_check(_M2, _U, _H, g, 0, 5, 0)),
+    "near_optimality_margin": (-1, lambda g: near_optimality_margin(_M2, _U, _H, 0.1, g, 0, 5)),
+    "risk_relative_value_iteration": (0, lambda g: risk_relative_value_iteration(_M2, g)),
+    "multiplicative_poisson_solve": (0, lambda g: multiplicative_poisson_solve(_M2, _U, g)),
+    "risk_time_extended_solve": (0, lambda g: risk_time_extended_solve(_M2, _H, g, 0, 5)),
+    "perron_oracle": (0, lambda g: perron_oracle(_M2, _U, g)),
+}
+_GAMMA_REFUSED = (
+    # True was evaluated as gamma = 1 and "0.5" raised a bare TypeError
+    [(entry, g, InvalidModel) for entry in _GAMMA_CALLS for g in (float("nan"), float("inf"), True, "0.5")]
+    # below the floor the evaluators divided by gamma, and 1e-300 gave values near 1e283
+    + [(entry, g, GammaNotAllowed) for entry in _GAMMA_CALLS for g in (0.0, 1e-300, -1e-300, 1e-9, -1e-9)]
+    # the wrong sign was InvalidModel in near_optimality_margin
+    + [(entry, -0.5 * sign, GammaNotAllowed) for entry, (sign, _) in _GAMMA_CALLS.items() if sign]
+)
+
+
+@pytest.mark.parametrize("entry, gamma, error", _GAMMA_REFUSED)
+def test_every_entry_point_that_divides_by_gamma_refuses_alike(entry, gamma, error):
+    with pytest.raises(error):
+        _GAMMA_CALLS[entry][1](gamma)
+
+
+@pytest.mark.parametrize("entry", list(_GAMMA_CALLS))
+def test_a_risk_factor_at_the_floor_is_admitted(entry):
+    sign, call = _GAMMA_CALLS[entry]
+    for gamma in (GAMMA_FLOOR, -GAMMA_FLOOR):
+        if gamma * sign >= 0.0:
+            call(gamma)
+
+
+def test_the_risk_factor_rule():
+    assert _risk_factor(GAMMA_FLOOR, 1) == GAMMA_FLOOR and _risk_factor(-GAMMA_FLOOR, -1) == -GAMMA_FLOOR
+    assert type(_risk_factor(2, 1)) is float and type(_risk_factor(np.float32(-0.5))) is float
+    with pytest.raises(GammaNotAllowed, match="need gamma > 0"):
+        _risk_factor(-1.0, 1)
+    with pytest.raises(GammaNotAllowed, match="need gamma < 0"):
+        _risk_factor(1.0, -1)
+
+
+def test_the_a_priori_bounds_are_defined_at_gamma_zero():
+    # each returned nan for gamma = nan
+    for bound in (risk_contraction_margin, risk_span_bound, certificate_for):
+        bound(_M2, 0.0)
+        for gamma in (float("nan"), True, "0.5"):
+            with pytest.raises(InvalidModel):
+                bound(_M2, gamma)
 
 
 def test_policies_keep_their_actions_equality_and_hash():

@@ -17,6 +17,7 @@ from longrun import (
     multiplicative_poisson_solve,
     perron_oracle,
     poisson_solve,
+    relative_value_iteration,
     risk_relative_value_iteration,
     risk_span_bound,
     risk_time_extended_solve,
@@ -75,6 +76,19 @@ def test_gamma_to_zero_is_linear(reference_model, reference_policy):
     # the slope stabilizes as gamma -> 0
     assert abs(slopes[1] - slopes[2]) <= abs(slopes[0] - slopes[1]) + 1e-9
     assert slopes[2] == pytest.approx(slopes[1], rel=2e-2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf"), True, "x"])
+def test_solvers_and_the_perron_oracle_share_one_tolerance_rule(reference_model, reference_policy, tol):
+    # perron_oracle(tol=0.0) ran 1e6 power iterations before NoConvergence,
+    # tol=True was a one-iteration solve and tol="x" a bare TypeError
+    for call in (
+        lambda: perron_oracle(reference_model, reference_policy, 0.5, tol=tol),
+        lambda: risk_relative_value_iteration(reference_model, 0.5, tol=tol),
+        lambda: relative_value_iteration(reference_model, tol=tol),
+    ):
+        with pytest.raises(InvalidModel, match="tolerance"):
+            call()
 
 
 def test_gamma_floor_refused(reference_model, reference_policy):
