@@ -404,12 +404,6 @@ def _task_ldp_check(cfg: ExperimentConfig) -> int:
     except CheckFailed as exc:
         rep = exc.report
         status = 1
-    _write_csv(
-        cfg.out,
-        "decay.csv",
-        ("n", "sum_phi", "Q_exact", "bound", "normalized_log_Q"),
-        [(r.n, r.sum_phi, r.q_exact, r.bound, r.normalized_log_q) for r in rep.rows],
-    )
     mu = average_solver.stationary_distribution(P)
     rate = ldp.rate_function(P, mu)
     lines = [
@@ -433,6 +427,13 @@ def _task_ldp_check(cfg: ExperimentConfig) -> int:
         lines.append(f"margin_slack: {_fmt(margin.slack)}")
         lines.append(f"margin: {_fmt(margin.margin)}")
     lines.append(f"result: {'PASS' if status == 0 else 'FAIL'}")
+    # written only once every check has run, so a refused input (exit 3) leaves no output
+    _write_csv(
+        cfg.out,
+        "decay.csv",
+        ("n", "sum_phi", "Q_exact", "bound", "normalized_log_Q"),
+        [(r.n, r.sum_phi, r.q_exact, r.bound, r.normalized_log_q) for r in rep.rows],
+    )
     _write_text(cfg.out, "report.txt", lines)
     return status
 

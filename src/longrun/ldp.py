@@ -13,10 +13,16 @@ evaluator for the exponential-martingale inequality and by full path
 enumeration for event probabilities.  Each level of the path tree writes
 one child column at a time, a contiguous multiply and add over the whole
 frontier, with the factors read from a cyclic table of P's columns at the
-frontier's phase.  The deviation-bound audit enumerates a start state in
-full only when a pruned bracket on its mass cannot rule it out as the worst
-one, so its rows equal the full per-start maximum bit for bit.  Each public
-function checks its kernel once.
+frontier's phase.  Every level writes into arrays allocated once per
+public call, for its largest horizon, and reused by all its horizons,
+start states and chunks: one cyclic table, the frontiers that a walk of
+the chunk tree keeps alive, and the leaf level's masses and mask.  The
+leaf partial sums are compared column by column and never stored, and the
+masses that reach the threshold are compacted in place.  The
+deviation-bound audit enumerates a start state in full only when a pruned
+bracket on its mass cannot rule it out as the worst one, so its rows equal
+the full per-start maximum bit for bit.  Each public function checks its
+kernel once.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ from .risk_solver import _communicating_classes, _perron_bracket
 _LOG_BOX = 40.0
 
 _ENUM_CHUNK = 1 << 21
+# leaf masses compacted per boolean-indexing copy: small copies reuse the
+# same memory where one copy of a whole leaf level would need fresh pages
+_LEAF_BLOCK = 1 << 16
 # relative slack between a pruned bracket's hi and the float mass of a full
 # enumeration: n * ROW_SUM_TOL of row sums plus the products' and the
 # pairwise sums' rounding, all below 1e-10 for n <= 22; the absolute term
@@ -229,42 +238,150 @@ def dv_supermartingale_check(
 
 
 def _cycle_table(P: np.ndarray, n: int) -> np.ndarray:
-    """The table cyc[y, k] = P[k % s, y] of one enumeration over horizon n.
+    """The table cyc[y, k] = P[k % s, y] of every enumeration up to horizon n.
 
     A frontier at phase p < s reads its factors for child column y from the
     slice cyc[y, p:p + m]; frontiers have at most max(1, _ENUM_CHUNK // s)
-    and at most s^(n - 2) nodes, so every slice fits.  An index array of
-    last states reads cyc[:, :s] = P.T.
+    and at most s^(n - 2) nodes, so every slice fits.  The entries do not
+    depend on n, so one table built for a call's largest horizon serves its
+    shorter ones too.  An index array of last states reads cyc[:, :s] = P.T.
     """
     s = P.shape[0]
     width = min(_ENUM_CHUNK // s, s ** (n - 1)) + s
     return np.tile(P.T, (1, -(-width // s)))
 
 
-def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last):
+def _largest_frontiers(s: int, n: int) -> list:
+    """Entry j (1 <= j <= n) is the largest frontier at depth j of the full
+    path tree that _enumerate_mass walks, with its halvings: a frontier
+    expands whole, or its pieces do."""
+    sizes, largest = {1}, [0, 1]
+    for _ in range(1, n):
+        pieces = set()
+        while sizes:
+            m = sizes.pop()
+            if m * s > _ENUM_CHUNK and m > 1:
+                sizes |= {m // 2, m - m // 2}
+            else:
+                pieces.add(m)
+        sizes = {m * s for m in pieces}
+        largest.append(max(sizes))
+    return largest
+
+
+def _grown(buf: np.ndarray, size: int) -> np.ndarray:
+    """buf, or an empty array of its kind with room for size entries in its
+    last axis when buf has less."""
+    return buf if buf.shape[-1] >= size else np.empty(buf.shape[:-1] + (size,), buf.dtype)
+
+
+class _Buffers:
+    """The arrays that the exact enumerations of one public call write into,
+    sized for its largest horizon and reused by every horizon, start state
+    and chunk of the call.
+
+    They hold what a walk of the chunk tree keeps alive, and no more: the
+    cyclic table; one frontier per depth below the first split, since a
+    split frontier's halves are views that stay alive while the pieces
+    below them are walked; two frontiers that the depths down to the first
+    split alternate between, since each of those dies once expanded; and
+    the leaf level's masses, its reached-threshold mask and one column of
+    partial sums.  Each is sized for the full path tree.  A frontier
+    compacted after dropped children can have a different chunk tree below
+    it, so a buffer too small for a frontier is replaced by a larger one.
+    """
+
+    def __init__(self, P: np.ndarray, horizons):
+        s, n = P.shape[0], max(horizons)
+        self.cyc = _cycle_table(P, n)
+        largest = _largest_frontiers(s, n)
+        # the depths down to the first that splits, top, alternate between two frontiers
+        top = min(next((j for j in range(2, n) if largest[j] * s > _ENUM_CHUNK), n), n - 1)
+        pair = {j % 2: np.empty((2, largest[j])) for j in (top - 1, top) if j >= 2}
+        self._frontiers = [pair.get(j % 2) if j <= top else np.empty((2, largest[j])) for j in range(n)]
+        leaf = max((largest[m] for m in horizons if m >= 2), default=0)
+        self._masses, self._reached, self._column = np.empty(leaf), np.empty(leaf, bool), np.empty(leaf // s)
+
+    def frontier(self, depth: int, size: int) -> tuple:
+        """Room for the probabilities and partial sums of a frontier of
+        size nodes at depth (below the horizon)."""
+        buf = self._frontiers[depth] = _grown(self._frontiers[depth], size)
+        return buf[0, :size], buf[1, :size]
+
+    def leaf(self, m: int) -> tuple:
+        """Room for the (m, s) leaf masses and reached mask of a frontier of
+        m nodes one step above the horizon, and one column of m partial sums."""
+        s = self.cyc.shape[0]
+        self._masses = _grown(self._masses, m * s)
+        self._reached = _grown(self._reached, m * s)
+        self._column = _grown(self._column, m)
+        return self._masses[:m * s].reshape(m, s), self._reached[:m * s].reshape(m, s), self._column[:m]
+
+
+def _factors(cyc: np.ndarray, y: int, last, m: int) -> np.ndarray:
+    """P[x_i, y] for each node i of a frontier of m nodes: a slice of the
+    cyclic table at a phase last, a gather at an index array last."""
+    return cyc[y, last:last + m] if isinstance(last, int) else cyc[y, last]
+
+
+def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last, out=None):
     """One level of the path tree: each node's children in state order.
 
     last is either an int phase p, for a frontier whose last states cycle
     p, p + 1, ... modulo s, or an index array of last states (at the start,
     and once children were dropped).  Child column y is one multiply of the
     whole frontier by cyc[y, p:p + m] (or by cyc[y, last]) and one add of
-    step[y], written with stride s into an (m, s) array, so numpy's inner
-    loops run over the frontier, not over s states, and every child is the
-    float probs[i] * P[x_i, y] and sums[i] + step[y] in the order i * s + y.
-    Zero-probability children (structural zeros, underflow) are dropped;
-    the children of a level that drops none cycle from phase 0.
+    step[y], written with stride s into the (m, s) views of out, a pair of
+    flat arrays of m * s entries (new ones when out is None), so numpy's
+    inner loops run over the frontier, not over s states, and every child
+    is the float probs[i] * P[x_i, y] and sums[i] + step[y] in the order
+    i * s + y.  Zero-probability children (structural zeros, underflow)
+    are dropped into new arrays; the children of a level that drops none
+    stay in out and cycle from phase 0.
     """
     s, m = step.size, probs.size
-    kids, kid_sums = np.empty((m, s)), np.empty((m, s))
+    kids, kid_sums = (np.empty(m * s), np.empty(m * s)) if out is None else out
+    columns, column_sums = kids.reshape(m, s), kid_sums.reshape(m, s)
     for y in range(s):
-        factor = cyc[y, last:last + m] if isinstance(last, int) else cyc[y, last]
-        np.multiply(probs, factor, out=kids[:, y])
-        np.add(sums, step[y], out=kid_sums[:, y])
-    kids, kid_sums = kids.ravel(), kid_sums.ravel()
-    keep = kids > 0.0
-    if keep.all():
+        np.multiply(probs, _factors(cyc, y, last, m), out=columns[:, y])
+        np.add(sums, step[y], out=column_sums[:, y])
+    # products of nonnegative factors: nonzero is positive
+    if kids.all():
         return kids, kid_sums, 0
+    keep = kids > 0.0
     return kids[keep], kid_sums[keep], np.tile(np.arange(s), m)[keep]
+
+
+def _leaf_mass(buffers: _Buffers, step: np.ndarray, probs, sums, last, threshold: float) -> float:
+    """Mass of the children of a frontier one step above the horizon whose
+    partial sums reach the threshold.
+
+    The children's partial sums are never stored: each column's
+    sums[i] + step[y] is compared as it is made.  The masses that reach it,
+    dropped children aside, are compacted in place in the order i * s + y
+    and summed by one numpy sum over a contiguous array, the same floats in
+    the same order as a compaction of _expand's output.
+    """
+    s, m = step.size, probs.size
+    masses, reached, column = buffers.leaf(m)
+    for y in range(s):
+        np.multiply(probs, _factors(buffers.cyc, y, last, m), out=masses[:, y])
+        np.add(sums, step[y], out=column)
+        np.greater_equal(column, threshold, out=reached[:, y])
+    if not masses.all():
+        # zero masses leave the compaction, as _expand drops them
+        np.logical_and(reached, masses, out=reached)
+    flat, hit = masses.ravel(), reached.ravel()
+    kept = flat.size
+    if not hit.all():
+        # in place, a block at a time: a block's kept masses land at or
+        # before its start, so no later block is overwritten
+        kept = 0
+        for lo in range(0, flat.size, _LEAF_BLOCK):
+            block = flat[lo:lo + _LEAF_BLOCK][hit[lo:lo + _LEAF_BLOCK]]
+            flat[kept:kept + block.size] = block
+            kept += block.size
+    return float(flat[:kept].sum())
 
 
 def _start(steps: np.ndarray, x: int) -> tuple:
@@ -272,24 +389,27 @@ def _start(steps: np.ndarray, x: int) -> tuple:
     return np.array([1.0]), steps[0, x:x + 1], np.array([x])
 
 
-def _enumerate_mass(cyc, steps, j, probs, sums, last, threshold):
+def _enumerate_mass(buffers: _Buffers, steps, j, probs, sums, last, threshold):
     """Mass of the length-n paths (n = len(steps)) whose weighted r-sum
     reaches the threshold, from a frontier at depth j.
 
-    Expands level by level; splits the frontier in half whenever the next
-    expansion would exceed the chunk size, so memory stays bounded while the
-    fixed index order keeps the accumulated sum deterministic.  cyc is the
-    _cycle_table of the horizon; the second half of a frontier at phase p
-    cycles from (p + half) % s.
+    Expands level by level into the call's buffers; splits the frontier in
+    half whenever the next expansion would exceed the chunk size, so memory
+    stays bounded while the fixed index order keeps the accumulated sum
+    deterministic.  The second half of a frontier at phase p cycles from
+    (p + half) % s.  The last level is _leaf_mass.
     """
-    s = cyc.shape[0]
-    while j < len(steps):
+    s, n = buffers.cyc.shape[0], len(steps)
+    while j < n:
         if probs.size * s > _ENUM_CHUNK and probs.size > 1:
             half = probs.size // 2
             heads = (last, (last + half) % s) if isinstance(last, int) else (last[:half], last[half:])
-            return _enumerate_mass(cyc, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
-                _enumerate_mass(cyc, steps, j, probs[half:], sums[half:], heads[1], threshold)
-        probs, sums, last = _expand(cyc, steps[j], probs, sums, last)
+            return _enumerate_mass(buffers, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
+                _enumerate_mass(buffers, steps, j, probs[half:], sums[half:], heads[1], threshold)
+        if j == n - 1:
+            return _leaf_mass(buffers, steps[j], probs, sums, last, threshold)
+        out = buffers.frontier(j + 1, probs.size * s)
+        probs, sums, last = _expand(buffers.cyc, steps[j], probs, sums, last, out)
         j += 1
     return float(probs[sums >= threshold].sum())
 
@@ -344,7 +464,7 @@ def exact_event_probability(
     P = _require_ergodic(P)
     _indices(x, P.shape[0], "start state")
     kappa, _, [(steps, norm)] = _enumeration_inputs(P, schedule, k, [n], f, kappa, 0.0)
-    return _enumerate_mass(_cycle_table(P, n), steps, 1, *_start(steps, x), kappa * norm)
+    return _enumerate_mass(_Buffers(P, [n]), steps, 1, *_start(steps, x), kappa * norm)
 
 
 def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n_grid, f, kappa, floor: float):
@@ -365,17 +485,19 @@ def _enumeration_inputs(P: np.ndarray, schedule: DiscountSchedule, k: int, n_gri
     return kappa, f, [(schedule.phi_array(k, n)[:, None] * r, schedule.partial_sum(k, n)) for n in n_grid]
 
 
-def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> float:
+def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float, buffers: _Buffers | None = None) -> float:
     """max over start states x of _enumerate_mass from x, bit for bit.
 
     Every start's pruned bracket is deepened _SHALLOW levels; the start with
     the highest bracket is enumerated exactly first.  Each other start is
     deepened until its hi, inflated by _MASS_SLACK, falls below the best
     exact mass so far, and enumerated exactly only if it never does, so ties
-    and overlapping brackets are enumerated.
+    and overlapping brackets are enumerated.  The enumerations write into
+    the caller's buffers, or into new ones for this horizon.
     """
     s = P.shape[0]
-    cyc = _cycle_table(P, len(steps))
+    if buffers is None:
+        buffers = _Buffers(P, [len(steps)])
     brackets = [_pruned_brackets(P, steps, x, threshold) for x in range(s)]
     shallow = [list(islice(b, _SHALLOW))[-1] for b in brackets]
     order = sorted(range(s), key=lambda x: -sum(shallow[x]))
@@ -386,12 +508,12 @@ def _worst_start_mass(P: np.ndarray, steps: np.ndarray, threshold: float) -> flo
 
     # a bracket's frontier is released as soon as its start is decided
     brackets[order[0]].close()
-    best = _enumerate_mass(cyc, steps, 1, *_start(steps, order[0]), threshold)
+    best = _enumerate_mass(buffers, steps, 1, *_start(steps, order[0]), threshold)
     for x in order[1:]:
         skip = ruled_out(shallow[x][1], best) or any(ruled_out(hi, best) for _, hi in brackets[x])
         brackets[x].close()
         if not skip:
-            best = max(best, _enumerate_mass(cyc, steps, 1, *_start(steps, x), threshold))
+            best = max(best, _enumerate_mass(buffers, steps, 1, *_start(steps, x), threshold))
     return best
 
 
@@ -424,7 +546,8 @@ def ldp_upper_bound_check(
     inspection against the rate-function infimum.  Q is the maximum of
     exact_event_probability over the start states, bit for bit, but a start
     is enumerated in full only when its pruned bracket cannot certify it
-    below the largest mass found so far (_worst_start_mass).  The guards of
+    below the largest mass found so far (_worst_start_mass).  One set of
+    enumeration buffers serves every row.  The guards of
     exact_event_probability apply to every row before any phi work.
     """
     Pm = _require_ergodic(P)
@@ -433,9 +556,10 @@ def ldp_upper_bound_check(
     if kappa < 0.0:
         raise InvalidModel(f"kappa must be nonnegative, got {kappa!r}")
     d = float(f.max() / f.min())
+    buffers = _Buffers(Pm, n_grid)
     rows = []
     for n, (steps, norm) in zip(n_grid, inputs):
-        q = _worst_start_mass(Pm, steps, kappa * norm)
+        q = _worst_start_mass(Pm, steps, kappa * norm, buffers)
         bound = d * math.exp(-kappa * norm)
         decay = math.log(q) / norm if q > 0.0 else -math.inf
         rows.append(

@@ -130,10 +130,10 @@ class Model:
 
 
 def _indices(values, size: int | None, what: str, ndim: int = 0) -> np.ndarray:
-    """values as an ndim-d int array of indices in [0, size) (size None: of
+    """values as an ndim-d int64 array of indices in [0, size) (size None: of
     any size an int64 holds), each an int or numpy integer but no bool: the
     one index rule for states and actions.  An ndarray is read by its dtype,
-    anything else entry by entry."""
+    anything else entry by entry; the range is tested after the conversion."""
     try:
         arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
     except ValueError:  # rows of arrays of unequal shapes
@@ -141,9 +141,14 @@ def _indices(values, size: int | None, what: str, ndim: int = 0) -> np.ndarray:
     if arr.ndim != ndim or not arr.size or not (arr.dtype.kind in "iu" or all(map(_is_integer, arr.flat))):
         form = f"a nonempty {ndim}-d integer array" if ndim else "an integer"
         raise InvalidModel(f"{what} must be {form}, got {values!r}")
-    if (arr < 0).any() or (arr >= (2**63 if size is None else size)).any():
+    try:
+        # an int entry of 2**63 or more overflows; a uint64 one wraps to a negative
+        ints = arr.astype(np.int64)
+    except OverflowError:
+        raise InvalidModel(f"{what} out of range") from None
+    if ints.min() < 0 or (size is not None and ints.max() >= size):
         raise InvalidModel(f"{what} out of range")
-    return arr.astype(int)
+    return ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +243,7 @@ def _risk_factor(gamma, sign: int = 0) -> float:
 
 def _is_integer(value) -> bool:
     """True for an int or numpy integer, False for a bool or anything else."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _check_window(start, count) -> None:

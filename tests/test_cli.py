@@ -341,6 +341,27 @@ def test_a_risk_factor_below_the_floor_is_a_precondition(tmp_path):
     assert main(["evaluate", "--gamma", "1e-300", "--out", str(tmp_path / "eval")] + model) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gamma=-1e-300"],  # below the floor of admitted risk factors
+        ["--gamma=-0.5"],  # not below the rate threshold
+        ["--gamma=-0.01", "--epsilon", "1e-8"],  # rate infimum below the bracket's resolution
+    ],
+    ids=["tiny-gamma", "large-gamma", "tiny-epsilon"],
+)
+def test_ldp_check_exiting_3_writes_no_output(tmp_path, argv):
+    # the audit runs before the margin reads gamma; its decay.csv used to be
+    # written then, and stayed behind without a report.txt
+    gen = tmp_path / "gen"
+    assert main(["gen-model", "--states", "3", "--actions", "2", "--min-entry", "0.05", "--seed", "7",
+                 "--out", str(gen)]) == 0
+    out = tmp_path / "ldp"
+    assert main(["ldp-check", "--model", str(gen / "model.json"), "--out", str(out)] + argv) == 3
+    assert not os.path.exists(out / "decay.csv")
+    assert not os.path.exists(out / "report.txt")
+
+
 def test_evaluate_task(model_file, tmp_path):
     out = tmp_path / "ev"
     assert main(["evaluate", "--model", model_file, "--schedule", "hyperbolic:1,1",

@@ -732,6 +732,32 @@ def test_policies_keep_their_actions_equality_and_hash():
         policy.table[0, 0] = 1
 
 
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda: StationaryPolicy([1, True]), "integer array"),
+        (lambda: StationaryPolicy((1, 2.0)), "integer array"),
+        (lambda: TimeVaryingPolicy(0, [[0, 1], [0]]), "integer array"),
+        (lambda: StationaryPolicy([0, -1]), "out of range"),
+        (lambda: StationaryPolicy((0, 2**63)), "out of range"),
+        (lambda: StationaryPolicy([0, -(2**63) - 1]), "out of range"),
+        (lambda: TimeVaryingPolicy(0, np.array([[0, 2**63]], dtype=np.uint64)), "out of range"),
+    ],
+    ids=["bool entry", "float entry", "ragged table", "negative entry", "2**63", "below int64", "uint64 2**63"],
+)
+def test_lists_and_tuples_keep_every_index_refusal(make, reason):
+    # entries are checked by type before the int64 conversion, and an entry
+    # that int64 cannot hold is out of range, not an OverflowError
+    with pytest.raises(InvalidModel, match=reason):
+        make()
+
+
+def test_lists_and_tuples_read_as_int64_tables():
+    assert StationaryPolicy((0, 2**63 - 1)).actions == (0, 2**63 - 1)
+    table = TimeVaryingPolicy(0, [[np.int8(1), 0], (np.uint64(2), 1)]).table
+    assert table.dtype == np.int64 and table.tolist() == [[1, 0], [2, 1]]
+
+
 def test_phi_partial_sum_examples(hyperbolic, unit):
     assert phi_partial_sum(unit, 0, 7) == 7.0
     assert phi_partial_sum(hyperbolic, 0, 4) == pytest.approx(25.0 / 12.0)
