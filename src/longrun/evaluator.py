@@ -32,17 +32,27 @@ from .average_solver import relative_value_iteration
 from .risk_solver import risk_relative_value_iteration
 
 CHECK_SLACK = 1e-12
+# unit roundoff of float64
+_U = 2.0 ** -53
 # at most this many draws, and states times replicates, per simulated block
 _SIM_BLOCK = 1 << 20
+# at most this many action-table entries (size x slices x states) per policy
+# panel, the path enumeration's budget: 1 GB of int64 actions
+_PANEL_ENTRIES = 1 << 27
 
 
 @dataclass(frozen=True)
 class EvaluationResult:
+    """An exact finite-horizon value; rounding bounds the distance between
+    value and the same functional in exact arithmetic on the same model,
+    weights and normalizer (_forward_rounding)."""
+
     value: float
     horizon: int
     start_k: int
     start_x: int
     normalizer: float
+    rounding: float
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,44 @@ def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
     return z, log_scale
 
 
+def _forward_rounding(model: Model, z: np.ndarray, log_scale: np.ndarray, tilt: np.ndarray, scale: float) -> tuple:
+    """(H / scale, delta): H bounds |ln(z[j, y] e^log_scale[j]) - ln v_j(y)|
+    at every step j and state y with z[j, y] > 0, where v_j is the mass
+    that _forward computes in exact arithmetic, and delta bounds how far a
+    kernel row's sum is from 1.
+
+    Derivation.  Take each float operation as exact times (1 + theta) with
+    |theta| <= u = 2^-53, and numpy's exp and log as exact within two ulps
+    (relative error 4u; numpy's accuracy tests hold its float64 exp and log
+    within one); the constants below absorb the terms of order u^2.
+    Step j computes m = z[j-1] @ K_j, a sum of s nonnegative products
+    (relative error 1.01 s u); e = log(m) + t with the tilt t = fl(fl(gamma
+    phi) c), within 2.01 u |t| of the exact tilt (log: 4u |log m|; add:
+    u |e|); top = max e and log_scale[j] = log_scale[j-1] + top (u
+    |log_scale[j]|); z[j] = exp(e - top) (subtract: u |e - top|; exp: 4.04 u
+    in log space).  So if step j - 1 is within H_(j-1) of ln v_(j-1) at
+    every state, step j is within H_j = H_(j-1) + eps_j of ln v_j, with
+    eps_j the largest over states y of
+    u (1.01 s + 4.04 + 4 |log m| + 2.01 |t| + |e| + |e - top| + |log_scale[j]|).
+    The computed arrays bound each term: e - top = ln z[j, y],
+    |e| <= |ln z[j, y]| + |top|, |log m| <= |e| + |t| and
+    |top| = |log_scale[j] - log_scale[j-1]|, each to within u of its size, so
+    eps_j <= u (1.01 s + 5 + 7 (max_y |ln z[j, y]| + |top| + max_y |t(y)|)
+    + 2 |log_scale[j]|), and H is their sum, taken after the division by
+    scale so that it cannot overflow where H / scale is finite.  The count
+    takes every positive entry of z as a normal float: an entry that
+    underflows, or turns subnormal, is below 2^-1022 of its step's largest
+    and is outside it.  delta is max |fl(row sum) - 1| plus that sum's own
+    rounding.
+    """
+    s = z.shape[1]
+    logs = np.abs(np.log(z, out=np.zeros_like(z), where=z > 0.0))
+    top = np.abs(np.diff(log_scale, prepend=0.0))
+    eps = 1.01 * s + 5.0 + 7.0 * (logs.max(axis=1) + top + np.abs(tilt).max(axis=1)) + 2.0 * np.abs(log_scale)
+    delta = float(np.abs(model.kernel.sum(axis=2) - 1.0).max()) + 1.01 * s * _U
+    return _U * float((eps / scale).sum()), delta
+
+
 def exact_discounted_value(
     model: Model,
     policy,
@@ -122,11 +170,24 @@ def exact_discounted_value(
 
     Computes sum_{i=k}^{n+k-1} phi(i) E[c(X_{i-k}, a_{i-k})] divided by the
     phi partial sum, by forward propagation of the state distribution.
+
+    rounding: with C = max |c| over the window and (H, delta) from
+    _forward_rounding, exp(log_scale[j]) z[j] is within a factor e^(H + 4.04u)
+    of the exact distribution, whose mass is within (1 +- delta)^j of 1;
+    each row's sum of s products with c adds 1.01 (s + 1) u relative to
+    sum_y z |c|, the weighted sum of n terms 1.01 n u of sum_j phi_j C, and
+    the division u |value|.  While H and n delta stay below 0.01 that gives
+    C (1.05 (H + (n - 1) delta) + (2 s + 2 n + 6) u) + u |value|.
     """
     phi, norm, actions, c = _window(model, policy, schedule, k, n, x)
-    z, log_scale = _forward(model, actions, x, np.zeros(actions.shape))
+    tilt = np.zeros(actions.shape)
+    z, log_scale = _forward(model, actions, x, tilt)
     total = float(phi @ (np.exp(log_scale) * (z * c).sum(axis=1)))
-    return EvaluationResult(value=total / norm, horizon=n, start_k=k, start_x=x, normalizer=norm)
+    value = total / norm
+    H, delta = _forward_rounding(model, z, log_scale, tilt, 1.0)
+    s = model.n_states
+    rounding = float(np.abs(c).max()) * (1.05 * (H + (n - 1) * delta) + (2 * s + 2 * n + 6) * _U) + _U * abs(value)
+    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm, rounding=rounding)
 
 
 def exact_risk_value(
@@ -146,12 +207,29 @@ def exact_risk_value(
     |gamma| whose tilted partial reward |gamma| * sum phi * max|c| is a
     finite float, since the recursion keeps its scale in a running log
     normaliser; a larger |gamma| raises GammaNotAllowed.
+
+    rounding: the total T = log_scale[-1] + ln sum_y z[-1, y] is within H of
+    its exact value on the kernel as given (_forward_rounding), and that
+    kernel's path masses are within (1 +- delta)^(n-1) of a stochastic
+    one's, 1.01 (n - 1) delta in log space.  The sum of s entries, between
+    1 and s, and its log add (1.01 (s - 1) + 4.04 ln s) u <= (2 s + 2) u,
+    the final add u |T|, and the division by fl(gamma S) 2.01 u |value|, so
+    rounding = 1.01 (H + 1.01 (n - 1) delta + (2 s + 2 + |T|) u) / (|gamma| S)
+    + 3 u |value|.  It grows like 1 / |gamma|, as the rounding of T does not
+    shrink with gamma.
     """
     gamma = _risk_factor(gamma)
     phi, norm, actions, c = _window(model, policy, schedule, k, n, x, gamma)
-    z, log_scale = _forward(model, actions, x, gamma * phi[:, None] * c)
+    tilt = gamma * phi[:, None] * c
+    z, log_scale = _forward(model, actions, x, tilt)
     total = log_scale[-1] + math.log(z[-1].sum())
-    return EvaluationResult(value=total / (gamma * norm), horizon=n, start_k=k, start_x=x, normalizer=norm)
+    value = total / (gamma * norm)
+    scale = abs(gamma) * norm
+    H_scaled, delta = _forward_rounding(model, z, log_scale, tilt, scale)
+    s = model.n_states
+    rest = (1.01 * (n - 1) * delta + (2 * s + 2 + abs(total)) * _U) / scale
+    rounding = 1.01 * (H_scaled + rest) + 3.0 * _U * abs(value)
+    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm, rounding=rounding)
 
 
 def simulate(
@@ -205,8 +283,16 @@ def simulate(
 
 def random_policy_panel(model: Model, n_slices: int, size: int, seed: int, start: int = 0) -> list:
     """Seeded panel of time-varying policies, uniform over per-slice actions.
-    A check over an empty panel would pass vacuously, so size is at least 1."""
+    A check over an empty panel would pass vacuously, so size is at least 1.
+    A panel of more than _PANEL_ENTRIES table entries is refused before any
+    table is drawn."""
     size = _count(size, "policy panel size", 1)
+    n_slices = _count(n_slices, "panel slice count", 1)
+    if size * n_slices * model.n_states > _PANEL_ENTRIES:
+        raise InvalidModel(
+            f"a panel of {size} policies x {n_slices} slices x {model.n_states} states exceeds "
+            f"{_PANEL_ENTRIES} action entries"
+        )
     rng = np.random.default_rng(_count(seed, "seed", 0))
     panel = []
     for _ in range(size):
@@ -297,7 +383,8 @@ def risk_upper_bound_check(
 
     For gamma > 0 every policy's exact risk value at horizon n must stay
     below the solved risk-sensitive gain plus the explicit finite-horizon
-    slack assembled from the relative value function.
+    slack assembled from the relative value function, plus the value's own
+    rounding bound, which grows like 1 / gamma.
     """
     gamma = _risk_factor(gamma, 1)
     norm = schedule.partial_sum(k, n)
@@ -311,8 +398,9 @@ def risk_upper_bound_check(
     rows = []
     for idx, policy in enumerate(policy_panel):
         res = exact_risk_value(model, policy, schedule, gamma, k, n, x)
+        row_bound = bound + res.rounding
         rows.append(
-            CheckRow(label=f"panel policy {idx}", value=res.value, bound=bound, passed=res.value <= bound)
+            CheckRow(label=f"panel policy {idx}", value=res.value, bound=row_bound, passed=res.value <= row_bound)
         )
     context = {"lambda_gamma": sol.lam, "gamma": gamma, "slack": slack, "k": k, "n": n, "x": x,
                "certificate": sol.certificate}
@@ -331,15 +419,19 @@ def sandwich_check(
     """Exact finite-horizon ordering: risk(-gamma) <= discounted <= risk(+gamma).
 
     The ordering holds at every horizon, not only in the limit, so the
-    tolerance is purely numerical.
+    tolerance is purely numerical: CHECK_SLACK plus the rounding bounds of
+    the two values compared, which grow like 1 / gamma.
     """
     gamma = _risk_factor(gamma, 1)
-    lower = exact_risk_value(model, policy, schedule, -gamma, k, n, x).value
-    mid = exact_discounted_value(model, policy, schedule, k, n, x).value
-    upper = exact_risk_value(model, policy, schedule, gamma, k, n, x).value
+    low = exact_risk_value(model, policy, schedule, -gamma, k, n, x)
+    middle = exact_discounted_value(model, policy, schedule, k, n, x)
+    high = exact_risk_value(model, policy, schedule, gamma, k, n, x)
+    lower, mid, upper = low.value, middle.value, high.value
+    below = mid + CHECK_SLACK + low.rounding + middle.rounding
+    above = upper + CHECK_SLACK + middle.rounding + high.rounding
     rows = [
-        CheckRow(label="risk(-gamma) <= discounted", value=lower, bound=mid + CHECK_SLACK, passed=lower <= mid + CHECK_SLACK),
-        CheckRow(label="discounted <= risk(+gamma)", value=mid, bound=upper + CHECK_SLACK, passed=mid <= upper + CHECK_SLACK),
+        CheckRow(label="risk(-gamma) <= discounted", value=lower, bound=below, passed=lower <= below),
+        CheckRow(label="discounted <= risk(+gamma)", value=mid, bound=above, passed=mid <= above),
     ]
     context = {"gamma": gamma, "k": k, "n": n, "x": x, "lower": lower, "mid": mid, "upper": upper}
     return _finish("sandwich", rows, context)

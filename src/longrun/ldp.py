@@ -17,8 +17,13 @@ frontier's phase.  Every level writes into arrays allocated once per
 public call, for its largest horizon, and reused by all its horizons,
 start states and chunks: one cyclic table, the frontiers that a walk of
 the chunk tree keeps alive, and the leaf level's masses and mask.  The
-leaf partial sums are compared column by column and never stored, and the
-masses that reach the threshold are compacted in place.  The
+leaf level never forms its partial sums: round-to-nearest addition is
+monotone in each operand, so fl(a + step[y]) >= threshold holds exactly
+when a is at least one float cut-off per column, and each parent's sum is
+compared with it.  A leaf chunk whose sums lie all at or above every
+cut-off, or all below every one, needs no compare.  The masses that
+reach the threshold are compacted in place.  On a kernel whose products
+cannot underflow, the enumeration scans no level for zero children.  The
 deviation-bound audit enumerates a start state in full only when a pruned
 bracket on its mass cannot rule it out as the worst one, so its rows equal
 the full per-start maximum bit for bit.  Each public function checks its
@@ -28,6 +33,7 @@ kernel once.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import islice
 
@@ -285,14 +291,21 @@ class _Buffers:
     split frontier's halves are views that stay alive while the pieces
     below them are walked; two frontiers that the depths down to the first
     split alternate between, since each of those dies once expanded; and
-    the leaf level's masses, its reached-threshold mask and one column of
-    partial sums.  Each is sized for the full path tree.  A frontier
-    compacted after dropped children can have a different chunk tree below
-    it, so a buffer too small for a frontier is replaced by a larger one.
+    the leaf level's masses and its reached-threshold mask.  The leaf
+    compares against cut-offs, so none of its partial sums is stored.  Each
+    is sized for the full path tree.  A frontier compacted after dropped
+    children can have a different chunk tree below it, so a buffer too
+    small for a frontier is replaced by a larger one.
+
+    positive says that no child of any horizon of the call can have
+    probability zero: every entry of P is positive and (min P)^n >= 2^-1000
+    for the largest horizon n, so every product of at most n - 1 rounded
+    factors, each at least min P, stays far above the underflow.
     """
 
     def __init__(self, P: np.ndarray, horizons):
         s, n = P.shape[0], max(horizons)
+        self.positive = bool(float(P.min()) ** n >= 2.0 ** -1000)
         self.cyc = _cycle_table(P, n)
         largest = _largest_frontiers(s, n)
         # the depths down to the first that splits, top, alternate between two frontiers
@@ -300,7 +313,7 @@ class _Buffers:
         pair = {j % 2: np.empty((2, largest[j])) for j in (top - 1, top) if j >= 2}
         self._frontiers = [pair.get(j % 2) if j <= top else np.empty((2, largest[j])) for j in range(n)]
         leaf = max((largest[m] for m in horizons if m >= 2), default=0)
-        self._masses, self._reached, self._column = np.empty(leaf), np.empty(leaf, bool), np.empty(leaf // s)
+        self._masses, self._reached = np.empty(leaf), np.empty(leaf, bool)
 
     def frontier(self, depth: int, size: int) -> tuple:
         """Room for the probabilities and partial sums of a frontier of
@@ -310,12 +323,11 @@ class _Buffers:
 
     def leaf(self, m: int) -> tuple:
         """Room for the (m, s) leaf masses and reached mask of a frontier of
-        m nodes one step above the horizon, and one column of m partial sums."""
+        m nodes one step above the horizon."""
         s = self.cyc.shape[0]
         self._masses = _grown(self._masses, m * s)
         self._reached = _grown(self._reached, m * s)
-        self._column = _grown(self._column, m)
-        return self._masses[:m * s].reshape(m, s), self._reached[:m * s].reshape(m, s), self._column[:m]
+        return self._masses[:m * s].reshape(m, s), self._reached[:m * s].reshape(m, s)
 
 
 def _factors(cyc: np.ndarray, y: int, last, m: int) -> np.ndarray:
@@ -324,7 +336,7 @@ def _factors(cyc: np.ndarray, y: int, last, m: int) -> np.ndarray:
     return cyc[y, last:last + m] if isinstance(last, int) else cyc[y, last]
 
 
-def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last, out=None):
+def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last, out=None, positive=False):
     """One level of the path tree: each node's children in state order.
 
     last is either an int phase p, for a frontier whose last states cycle
@@ -337,7 +349,8 @@ def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last, out=None):
     is the float probs[i] * P[x_i, y] and sums[i] + step[y] in the order
     i * s + y.  Zero-probability children (structural zeros, underflow)
     are dropped into new arrays; the children of a level that drops none
-    stay in out and cycle from phase 0.
+    stay in out and cycle from phase 0.  positive (_Buffers.positive) says
+    that no child can be zero, and skips the scan for them.
     """
     s, m = step.size, probs.size
     kids, kid_sums = (np.empty(m * s), np.empty(m * s)) if out is None else out
@@ -346,32 +359,85 @@ def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last, out=None):
         np.multiply(probs, _factors(cyc, y, last, m), out=columns[:, y])
         np.add(sums, step[y], out=column_sums[:, y])
     # products of nonnegative factors: nonzero is positive
-    if kids.all():
+    if positive or kids.all():
         return kids, kid_sums, 0
     keep = kids > 0.0
     return kids[keep], kid_sums[keep], np.tile(np.arange(s), m)[keep]
+
+
+def _float_order(x: float) -> int:
+    """An integer key of x that orders floats as their values do (both
+    zeros at 0), and no two other floats alike."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _ordered_float(key: int) -> float:
+    """The float whose _float_order is key."""
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -key - (1 << 63)))[0]
+
+
+def _least_addend(b: float, t: float) -> float:
+    """The least float a with fl(a + b) >= t, for finite b and t (inf when
+    no finite a has it).
+
+    Round-to-nearest addition is monotone in each operand, so the floats a
+    with fl(a + b) >= t are exactly those at or above this one.  A step or
+    two of nextafter from fl(t - b) reaches it unless the subtraction
+    cancelled to a far finer scale than t's; a bisection over the floats'
+    order then finds it, in at most 64 steps.
+    """
+    a = t - b
+    up = a + b < t
+    toward = math.inf if up else -math.inf
+    for _ in range(4):
+        nxt = math.nextafter(a, toward)
+        if (nxt + b >= t) == up:
+            return nxt if up else a
+        a = nxt
+    # the key lo fails and hi passes: a lies on the walk's side of the cut
+    # and the infinity toward which it walked on the other
+    lo, hi = sorted((_float_order(a), _float_order(toward)))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _ordered_float(mid) + b >= t:
+            hi = mid
+        else:
+            lo = mid
+    return _ordered_float(hi)
 
 
 def _leaf_mass(buffers: _Buffers, step: np.ndarray, probs, sums, last, threshold: float) -> float:
     """Mass of the children of a frontier one step above the horizon whose
     partial sums reach the threshold.
 
-    The children's partial sums are never stored: each column's
-    sums[i] + step[y] is compared as it is made.  The masses that reach it,
-    dropped children aside, are compacted in place in the order i * s + y
-    and summed by one numpy sum over a contiguous array, the same floats in
-    the same order as a compaction of _expand's output.
+    Child (i, y) reaches it exactly when sums[i] >= cut[y], the least float
+    whose sum with step[y] does (_least_addend), so the children's partial
+    sums are never formed.  A frontier whose largest sum is below every
+    cut-off has mass 0.0 before any multiply; one whose least sum is at or
+    above every cut-off sums all its masses, when none is zero, with no
+    compare.  Otherwise the masses that reach the threshold, dropped
+    children aside, are compacted in place in the order i * s + y.  Either
+    way one numpy sum over a contiguous array adds the same floats in the
+    same order as a compaction of _expand's output.
     """
     s, m = step.size, probs.size
-    masses, reached, column = buffers.leaf(m)
+    cut = [_least_addend(b, threshold) for b in step.tolist()]
+    if sums.max() < min(cut):
+        return 0.0
+    masses, reached = buffers.leaf(m)
     for y in range(s):
         np.multiply(probs, _factors(buffers.cyc, y, last, m), out=masses[:, y])
-        np.add(sums, step[y], out=column)
-        np.greater_equal(column, threshold, out=reached[:, y])
-    if not masses.all():
+    flat = masses.ravel()
+    zero_free = buffers.positive or flat.all()
+    if zero_free and sums.min() >= max(cut):
+        return float(flat.sum())
+    for y in range(s):
+        np.greater_equal(sums, cut[y], out=reached[:, y])
+    if not zero_free:
         # zero masses leave the compaction, as _expand drops them
         np.logical_and(reached, masses, out=reached)
-    flat, hit = masses.ravel(), reached.ravel()
+    hit = reached.ravel()
     kept = flat.size
     if not hit.all():
         # in place, a block at a time: a block's kept masses land at or
@@ -409,7 +475,7 @@ def _enumerate_mass(buffers: _Buffers, steps, j, probs, sums, last, threshold):
         if j == n - 1:
             return _leaf_mass(buffers, steps[j], probs, sums, last, threshold)
         out = buffers.frontier(j + 1, probs.size * s)
-        probs, sums, last = _expand(buffers.cyc, steps[j], probs, sums, last, out)
+        probs, sums, last = _expand(buffers.cyc, steps[j], probs, sums, last, out, buffers.positive)
         j += 1
     return float(probs[sums >= threshold].sum())
 

@@ -226,6 +226,16 @@ def test_sizes_above_their_caps_exit_2(tmp_path, capsys, model_file):
                                       longrun.cli._GENERATOR_FIELDS)
 
 
+def test_verify_refuses_a_panel_above_its_entry_cap_with_exit_2(tmp_path, capsys, model_file):
+    # each field is under its cap, but 1000 policies x 67109 slices x 2
+    # states is just over the panel's 2^27 action entries
+    out = ["--model", model_file, "--out", str(tmp_path / "o")]
+    assert main(["verify", "--panel-size", "1000", "--horizons", "67109"] + out) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "exceeds 134217728 action entries" in err
+
+
 def test_ldp_horizons_past_the_guard_exit_3_and_past_the_cap_exit_2(tmp_path, capsys, model_file):
     # a two-state chain is enumerated up to n = 22; beyond, the guard refuses
     # every row before any phi work, and an entry above the cap is a usage error

@@ -252,10 +252,10 @@ def test_small_chunks_start_halves_at_every_phase(monkeypatch, s, chunk):
     phases = set()
     inner = ldp._expand
 
-    def recording(cyc, step, probs, sums, last, out=None):
+    def recording(cyc, step, probs, sums, last, out=None, positive=False):
         if isinstance(last, int):
             phases.add(last)
-        return inner(cyc, step, probs, sums, last, out)
+        return inner(cyc, step, probs, sums, last, out, positive)
 
     monkeypatch.setattr(ldp, "_expand", recording)
     monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
@@ -273,8 +273,8 @@ def test_underflowing_paths_are_dropped_as_in_the_reference(monkeypatch, s):
     dropped = []
     inner = ldp._expand
 
-    def recording(cyc, step, probs, sums, last, out=None):
-        kids = inner(cyc, step, probs, sums, last, out)
+    def recording(cyc, step, probs, sums, last, out=None, positive=False):
+        kids = inner(cyc, step, probs, sums, last, out, positive)
         dropped.append(probs.size * s - kids[0].size)
         return kids
 
@@ -328,9 +328,9 @@ def test_deviation_audit_peak_memory():
     # the deviation benchmark's first model at workload seed 7 (model seed
     # SeedSequence([7, 3])): the audit keeps one frontier per split depth,
     # two alternating frontiers above the first split, the cyclic table and
-    # the leaf level's masses, mask and column, about 5.5 chunks of floats;
-    # allocating each level afresh took 6.33, and a buffer for every depth
-    # would take about 7.7
+    # the leaf level's masses and mask, about 5.2 chunks of floats; a column
+    # of leaf partial sums took 5.5, allocating each level afresh 6.33, and
+    # a buffer for every depth would take about 7.7
     seed = int(np.random.SeedSequence([7, 3]).generate_state(1)[0])
     model = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": seed})
     P = model.policy_kernel(StationaryPolicy([0, 0, 0]))
@@ -343,7 +343,112 @@ def test_deviation_audit_peak_memory():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 6.4 * ldp._ENUM_CHUNK * 8
+    assert peak <= 6.1 * ldp._ENUM_CHUNK * 8
+
+
+# ------------------------------------------------ leaf cut-offs
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e308, -1.7976931348623157e308])
+
+
+@st.composite
+def addend_cases(draw):
+    """(b, t) of either sign at zero, subnormal, normal and large
+    magnitudes, and pairs where t - b cancels to a far finer scale than t."""
+    t = draw(st.one_of(FLOATS, SPECIAL))
+    kind = draw(st.sampled_from(["free", "special", "near", "opposite"]))
+    if kind == "free":
+        return draw(FLOATS), t
+    if kind == "special":
+        return draw(SPECIAL), t
+    b = t if kind == "near" else -t
+    for _ in range(draw(st.integers(0, 3))):
+        b = math.nextafter(b, draw(st.sampled_from([-math.inf, math.inf])))
+    return (b, t) if math.isfinite(b) else (t, t)
+
+
+def steps_around(cut, k=3):
+    """cut and k nextafter steps on each side of it."""
+    out, lo, hi = [cut], cut, cut
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=addend_cases())
+def test_least_addend_is_the_exact_cut(case):
+    b, t = case
+    cut = ldp._least_addend(b, t)
+    for a in steps_around(cut):
+        assert (a + b >= t) == (a >= cut)
+
+
+def reference_leaf_mass(cyc, step, probs, sums, last, threshold):
+    """The leaf level as it was before the cut-offs: each column's partial
+    sums are added and compared with the threshold, then the reached
+    nonzero masses are compacted in place and summed."""
+    s, m = step.size, probs.size
+    masses, reached, column = np.empty((m, s)), np.empty((m, s), bool), np.empty(m)
+    for y in range(s):
+        np.multiply(probs, ldp._factors(cyc, y, last, m), out=masses[:, y])
+        np.add(sums, step[y], out=column)
+        np.greater_equal(column, threshold, out=reached[:, y])
+    if not masses.all():
+        np.logical_and(reached, masses, out=reached)
+    flat, hit = masses.ravel(), reached.ravel()
+    kept = flat.size
+    if not hit.all():
+        kept = 0
+        for lo in range(0, flat.size, ldp._LEAF_BLOCK):
+            block = flat[lo:lo + ldp._LEAF_BLOCK][hit[lo:lo + ldp._LEAF_BLOCK]]
+            flat[kept:kept + block.size] = block
+            kept += block.size
+    return float(flat[:kept].sum())
+
+
+@pytest.mark.parametrize("chunk", [ldp._ENUM_CHUNK, 7], ids=["default", "small"])
+@pytest.mark.parametrize(
+    "zeros, tiny", [(False, False), (True, False), (False, True)], ids=["positive", "zero-entries", "underflow"]
+)
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_leaf_mass_matches_the_add_and_compare_reference(monkeypatch, s, zeros, tiny, chunk):
+    # random frontiers at a phase and with index arrays of last states;
+    # thresholds below every child (all reached), above every child (none),
+    # at children's sums and one ulp from them, and in between
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    rng = np.random.default_rng([s, zeros, tiny, chunk])
+    P = ldp._require_ergodic(kernel_with(rng, s, zeros, tiny))
+    buffers = ldp._Buffers(P, [MAX_HORIZON[s]])
+    width = buffers.cyc.shape[1] - s
+    for trial in range(40):
+        m = int(rng.integers(1, min(width, 300) + 1))
+        probs = rng.random(m) * (1e-300 if tiny and trial % 4 == 0 else 1.0)
+        sums = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
+        step = rng.normal(size=s)
+        last = int(rng.integers(s)) if trial % 2 else rng.integers(s, size=m)
+        children = (sums[:, None] + step[None, :]).ravel()
+        thresholds = [children.min(), math.nextafter(children.min(), -math.inf), children.max(),
+                      math.nextafter(children.max(), math.inf), float(np.median(children)),
+                      float(rng.choice(children)), math.nextafter(float(rng.choice(children)), math.inf)]
+        for threshold in thresholds:
+            want = reference_leaf_mass(buffers.cyc, step, probs, sums, last, threshold)
+            assert ldp._leaf_mass(buffers, step, probs, sums, last, threshold) == want
+    if zeros or tiny:
+        assert not buffers.positive
+
+
+def test_positive_buffers_need_no_zero_scan():
+    # min P = 0.05 and n = 16 give 0.05^16 ~ 2^-69; a 1e-200 entry passes
+    # at n = 1 but its square is below 2^-1000; a zero entry never passes
+    P = random_model(7).policy_kernel(StationaryPolicy([0, 0, 0]))
+    assert ldp._Buffers(P, [8, 16]).positive
+    tiny = kernel_with(np.random.default_rng(0), 3, False, True)
+    assert ldp._Buffers(tiny, [1]).positive and not ldp._Buffers(tiny, [2]).positive
+    assert not ldp._Buffers(kernel_with(np.random.default_rng(1), 3, True, False), [2]).positive
 
 
 def test_guard_raises_before_any_bracket_work(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -290,12 +291,15 @@ def test_simulate_refuses_fractional_bool_and_negative_counts(reference_model, r
         simulate(reference_model, reference_policy, hyperbolic, 0, 5, 0, **kwargs)
 
 
-@pytest.mark.parametrize("field, value", [("size", 2.5), ("size", True), ("size", 0), ("seed", -1), ("seed", 0.5)])
+@pytest.mark.parametrize("field, value", [("size", 2.5), ("size", True), ("size", 0), ("seed", -1), ("seed", 0.5),
+                                          ("n_slices", 2.0), ("n_slices", True), ("n_slices", 0), ("n_slices", -1)])
 def test_policy_panel_refuses_fractional_bool_and_negative_counts(two_action_model, field, value):
-    # size = 2.5 raised a TypeError, seed = -1 a ValueError
-    kwargs = {"size": 3, "seed": 1, field: value}
-    with pytest.raises(InvalidModel, match="policy panel size" if field == "size" else "seed"):
-        random_policy_panel(two_action_model, 4, **kwargs)
+    # size = 2.5 raised a TypeError, seed = -1 a ValueError; n_slices = 2.0
+    # and True raised a TypeError, 0 an index error, -1 a ValueError
+    kwargs = {"n_slices": 4, "size": 3, "seed": 1, field: value}
+    match = {"size": "policy panel size", "seed": "seed", "n_slices": "panel slice count"}[field]
+    with pytest.raises(InvalidModel, match=match):
+        random_policy_panel(two_action_model, **kwargs)
 
 
 def test_seeds_have_no_upper_limit(two_action_model, reference_model, reference_policy):
@@ -470,3 +474,108 @@ def test_checks_never_fail_on_random_ergodic_models(hyperbolic, unit):
             for gamma in (0.3, 1.0):
                 rep = risk_upper_bound_check(m, sched, gamma, 1, 100, panel)
                 assert rep.passed
+
+
+# ------------------------------------------------------- rounding bounds
+
+
+def longdouble_values(model, actions, schedule, gamma, k, n, x):
+    """The discounted (gamma = 0) or risk value by the plain forward
+    recursion in extended precision (np.longdouble, 64-bit significand on
+    x86), with the same phi and normalizer as the evaluators."""
+    ld = np.longdouble
+    phi = schedule.phi_array(k, n).astype(ld)
+    norm = ld(schedule.partial_sum(k, n))
+    c = model.reward[np.arange(model.n_states), actions].astype(ld)
+    K = model.kernel[actions, np.arange(model.n_states)].astype(ld)
+    v = np.zeros(model.n_states, dtype=ld)
+    v[x] = 1
+    total = ld(0)
+    for j in range(n):
+        if j:
+            v = v @ K
+        if gamma == 0.0:
+            total += phi[j] * (v * c).sum()
+        else:
+            v = v * np.exp(ld(gamma) * phi[j] * c)
+    return total / norm if gamma == 0.0 else np.log(v.sum()) / (ld(gamma) * norm)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-8, -1e-6, 0.5, -2.0])
+@pytest.mark.parametrize("seed", range(4))
+def test_rounding_bounds_the_distance_to_an_extended_precision_recursion(seed, gamma, hyperbolic, unit):
+    from conftest import random_model
+
+    m = random_model(seed)
+    actions = np.array([seed % 2, 0, 1])
+    for sched, n in itertools.product((hyperbolic, unit), (10, 300)):
+        if gamma == 0.0:
+            res = exact_discounted_value(m, StationaryPolicy(actions), sched, 0, n, 0)
+        else:
+            res = exact_risk_value(m, StationaryPolicy(actions), sched, gamma, 0, n, 0)
+        want = longdouble_values(m, actions, sched, gamma, 0, n, 0)
+        assert abs(np.longdouble(res.value) - want) <= res.rounding
+
+
+@pytest.mark.parametrize("gamma, seeds", [(1e-6, 20), (1e-8, 5)])
+def test_sandwich_holds_at_small_gamma(gamma, seeds):
+    # with the flat slack alone, gamma = 1e-6 failed 13 of the 160 cases of
+    # 20 seeds (worst excess 1.26e-8) and gamma = 1e-8 140 of them, though
+    # the ordering holds exactly; the rounding of the risk values grows
+    # like 1 / gamma
+    from longrun import HyperbolicSchedule
+    from longrun.cli import gen_model
+
+    for seed in range(seeds):
+        m = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": seed})
+        for sched in (HyperbolicSchedule(1.0, 1.0), UnitSchedule()):
+            for n in (10, 50, 100, 1000):
+                assert sandwich_check(m, StationaryPolicy([0, 0, 0]), sched, gamma, 0, n, 0).passed
+
+
+@pytest.mark.parametrize("row", [0, 1])
+@pytest.mark.parametrize("gamma", [1e-6, 0.5])
+def test_sandwich_fails_an_ordering_broken_by_more_than_its_bound(monkeypatch, reference_model, reference_policy,
+                                                                  unit, gamma, row):
+    # the discounted value moved to a row's bound still passes; one ulp
+    # beyond it, the ordering is broken by more than the bound and fails
+    rep = sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0)
+    inner = longrun.evaluator.exact_discounted_value
+    lower, upper = rep.context["lower"], rep.context["upper"]
+    true_mid = inner(reference_model, reference_policy, unit, 0, 100, 0)
+    # row 0 bounds lower by mid + slack, row 1 bounds mid by upper + slack
+    slack = rep.rows[row].bound - (rep.context["mid"] if row == 0 else upper)
+    edge = lower - slack if row == 0 else upper + slack
+    for moved, passes in ((edge, True), (math.nextafter(edge, -math.inf if row == 0 else math.inf), False)):
+        monkeypatch.setattr(longrun.evaluator, "exact_discounted_value",
+                            lambda *args: dataclasses.replace(true_mid, value=moved))
+        if passes:
+            assert sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0).passed
+        else:
+            with pytest.raises(CheckFailed):
+                sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0)
+
+
+def test_sandwich_fails_with_the_risk_values_swapped(monkeypatch, reference_model, reference_policy, unit):
+    # a mis-signed gamma breaks both orderings by about gamma * variance,
+    # far beyond the rounding bound at gamma = 0.5
+    inner = longrun.evaluator.exact_risk_value
+    monkeypatch.setattr(longrun.evaluator, "exact_risk_value", lambda m, p, s, g, *rest: inner(m, p, s, -g, *rest))
+    with pytest.raises(CheckFailed) as exc:
+        sandwich_check(reference_model, reference_policy, unit, 0.5, 0, 100, 0)
+    assert not any(r.passed for r in exc.value.report.rows)
+
+
+def test_panel_refuses_more_entries_than_its_cap_before_drawing(two_action_model):
+    import tracemalloc
+
+    cap = longrun.evaluator._PANEL_ENTRIES
+    n_slices = cap // 2 + 1  # two states: one entry over the cap per policy
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidModel, match="exceeds"):
+            random_policy_panel(two_action_model, n_slices, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
