@@ -43,16 +43,11 @@ _PANEL_ENTRIES = 1 << 27
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """An exact finite-horizon value; rounding bounds the distance between
-    value and the same functional in exact arithmetic on the same model,
-    weights and normalizer (_forward_rounding)."""
-
     value: float
     horizon: int
     start_k: int
     start_x: int
     normalizer: float
-    rounding: float
 
 
 @dataclass(frozen=True)
@@ -120,11 +115,12 @@ def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
     return z, log_scale
 
 
-def _forward_rounding(model: Model, z: np.ndarray, log_scale: np.ndarray, tilt: np.ndarray, scale: float) -> tuple:
+def _forward_rounding(model: Model, z: np.ndarray, log_scale: np.ndarray, tilt_max, scale: float) -> tuple:
     """(H / scale, delta): H bounds |ln(z[j, y] e^log_scale[j]) - ln v_j(y)|
     at every step j and state y with z[j, y] > 0, where v_j is the mass
     that _forward computes in exact arithmetic, and delta bounds how far a
-    kernel row's sum is from 1.
+    kernel row's sum is from 1.  tilt_max is max_y |t(y)| per step (0.0
+    for no tilt).
 
     Derivation.  Take each float operation as exact times (1 + theta) with
     |theta| <= u = 2^-53, and numpy's exp and log as exact within two ulps
@@ -153,7 +149,7 @@ def _forward_rounding(model: Model, z: np.ndarray, log_scale: np.ndarray, tilt: 
     s = z.shape[1]
     logs = np.abs(np.log(z, out=np.zeros_like(z), where=z > 0.0))
     top = np.abs(np.diff(log_scale, prepend=0.0))
-    eps = 1.01 * s + 5.0 + 7.0 * (logs.max(axis=1) + top + np.abs(tilt).max(axis=1)) + 2.0 * np.abs(log_scale)
+    eps = 1.01 * s + 5.0 + 7.0 * (logs.max(axis=1) + top + tilt_max) + 2.0 * np.abs(log_scale)
     delta = float(np.abs(model.kernel.sum(axis=2) - 1.0).max()) + 1.01 * s * _U
     return _U * float((eps / scale).sum()), delta
 
@@ -170,8 +166,17 @@ def exact_discounted_value(
 
     Computes sum_{i=k}^{n+k-1} phi(i) E[c(X_{i-k}, a_{i-k})] divided by the
     phi partial sum, by forward propagation of the state distribution.
+    """
+    return _discounted(model, policy, schedule, k, n, x)[0]
 
-    rounding: with C = max |c| over the window and (H, delta) from
+
+def _discounted(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, x: int) -> tuple:
+    """exact_discounted_value's result and its rounding bound: a function of
+    no arguments, called only by the checks that compare values, bounding
+    the distance between the value and the same functional in exact
+    arithmetic on the same model, weights and normalizer.
+
+    The bound: with C = max |c| over the window and (H, delta) from
     _forward_rounding, exp(log_scale[j]) z[j] is within a factor e^(H + 4.04u)
     of the exact distribution, whose mass is within (1 +- delta)^j of 1;
     each row's sum of s products with c adds 1.01 (s + 1) u relative to
@@ -180,14 +185,16 @@ def exact_discounted_value(
     C (1.05 (H + (n - 1) delta) + (2 s + 2 n + 6) u) + u |value|.
     """
     phi, norm, actions, c = _window(model, policy, schedule, k, n, x)
-    tilt = np.zeros(actions.shape)
-    z, log_scale = _forward(model, actions, x, tilt)
+    z, log_scale = _forward(model, actions, x, np.zeros(actions.shape))
     total = float(phi @ (np.exp(log_scale) * (z * c).sum(axis=1)))
     value = total / norm
-    H, delta = _forward_rounding(model, z, log_scale, tilt, 1.0)
-    s = model.n_states
-    rounding = float(np.abs(c).max()) * (1.05 * (H + (n - 1) * delta) + (2 * s + 2 * n + 6) * _U) + _U * abs(value)
-    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm, rounding=rounding)
+
+    def rounding() -> float:
+        H, delta = _forward_rounding(model, z, log_scale, 0.0, 1.0)
+        s = model.n_states
+        return float(np.abs(c).max()) * (1.05 * (H + (n - 1) * delta) + (2 * s + 2 * n + 6) * _U) + _U * abs(value)
+
+    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm), rounding
 
 
 def exact_risk_value(
@@ -207,9 +214,16 @@ def exact_risk_value(
     |gamma| whose tilted partial reward |gamma| * sum phi * max|c| is a
     finite float, since the recursion keeps its scale in a running log
     normaliser; a larger |gamma| raises GammaNotAllowed.
+    """
+    return _risk(model, policy, schedule, gamma, k, n, x)[0]
 
-    rounding: the total T = log_scale[-1] + ln sum_y z[-1, y] is within H of
-    its exact value on the kernel as given (_forward_rounding), and that
+
+def _risk(model: Model, policy, schedule: DiscountSchedule, gamma: float, k: int, n: int, x: int) -> tuple:
+    """exact_risk_value's result and its rounding bound, a function of no
+    arguments as in _discounted.
+
+    The bound: the total T = log_scale[-1] + ln sum_y z[-1, y] is within H
+    of its exact value on the kernel as given (_forward_rounding), and that
     kernel's path masses are within (1 +- delta)^(n-1) of a stochastic
     one's, 1.01 (n - 1) delta in log space.  The sum of s entries, between
     1 and s, and its log add (1.01 (s - 1) + 4.04 ln s) u <= (2 s + 2) u,
@@ -224,12 +238,15 @@ def exact_risk_value(
     z, log_scale = _forward(model, actions, x, tilt)
     total = log_scale[-1] + math.log(z[-1].sum())
     value = total / (gamma * norm)
-    scale = abs(gamma) * norm
-    H_scaled, delta = _forward_rounding(model, z, log_scale, tilt, scale)
-    s = model.n_states
-    rest = (1.01 * (n - 1) * delta + (2 * s + 2 + abs(total)) * _U) / scale
-    rounding = 1.01 * (H_scaled + rest) + 3.0 * _U * abs(value)
-    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm, rounding=rounding)
+
+    def rounding() -> float:
+        scale = abs(gamma) * norm
+        H_scaled, delta = _forward_rounding(model, z, log_scale, np.abs(tilt).max(axis=1), scale)
+        s = model.n_states
+        rest = (1.01 * (n - 1) * delta + (2 * s + 2 + abs(total)) * _U) / scale
+        return 1.01 * (H_scaled + rest) + 3.0 * _U * abs(value)
+
+    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm), rounding
 
 
 def simulate(
@@ -397,8 +414,8 @@ def risk_upper_bound_check(
     bound = sol.lam + slack
     rows = []
     for idx, policy in enumerate(policy_panel):
-        res = exact_risk_value(model, policy, schedule, gamma, k, n, x)
-        row_bound = bound + res.rounding
+        res, rounding = _risk(model, policy, schedule, gamma, k, n, x)
+        row_bound = bound + rounding()
         rows.append(
             CheckRow(label=f"panel policy {idx}", value=res.value, bound=row_bound, passed=res.value <= row_bound)
         )
@@ -423,12 +440,13 @@ def sandwich_check(
     the two values compared, which grow like 1 / gamma.
     """
     gamma = _risk_factor(gamma, 1)
-    low = exact_risk_value(model, policy, schedule, -gamma, k, n, x)
-    middle = exact_discounted_value(model, policy, schedule, k, n, x)
-    high = exact_risk_value(model, policy, schedule, gamma, k, n, x)
+    low, low_rounding = _risk(model, policy, schedule, -gamma, k, n, x)
+    middle, middle_rounding = _discounted(model, policy, schedule, k, n, x)
+    high, high_rounding = _risk(model, policy, schedule, gamma, k, n, x)
     lower, mid, upper = low.value, middle.value, high.value
-    below = mid + CHECK_SLACK + low.rounding + middle.rounding
-    above = upper + CHECK_SLACK + middle.rounding + high.rounding
+    mid_slack = middle_rounding()
+    below = mid + CHECK_SLACK + low_rounding() + mid_slack
+    above = upper + CHECK_SLACK + mid_slack + high_rounding()
     rows = [
         CheckRow(label="risk(-gamma) <= discounted", value=lower, bound=below, passed=lower <= below),
         CheckRow(label="discounted <= risk(+gamma)", value=mid, bound=above, passed=mid <= above),

@@ -21,9 +21,9 @@ leaf level never forms its partial sums: round-to-nearest addition is
 monotone in each operand, so fl(a + step[y]) >= threshold holds exactly
 when a is at least one float cut-off per column, and each parent's sum is
 compared with it.  A leaf chunk whose sums lie all at or above every
-cut-off, or all below every one, needs no compare.  The masses that
-reach the threshold are compacted in place.  On a kernel whose products
-cannot underflow, the enumeration scans no level for zero children.  The
+cut-off needs no compare.  The masses that reach the threshold are
+compacted in place.  On a kernel whose products cannot underflow, the
+enumeration scans no level for zero children.  The
 deviation-bound audit enumerates a start state in full only when a pruned
 bracket on its mass cannot rule it out as the worst one, so its rows equal
 the full per-start maximum bit for bit.  Each public function checks its
@@ -413,18 +413,18 @@ def _leaf_mass(buffers: _Buffers, step: np.ndarray, probs, sums, last, threshold
 
     Child (i, y) reaches it exactly when sums[i] >= cut[y], the least float
     whose sum with step[y] does (_least_addend), so the children's partial
-    sums are never formed.  A frontier whose largest sum is below every
-    cut-off has mass 0.0 before any multiply; one whose least sum is at or
-    above every cut-off sums all its masses, when none is zero, with no
-    compare.  Otherwise the masses that reach the threshold, dropped
-    children aside, are compacted in place in the order i * s + y.  Either
-    way one numpy sum over a contiguous array adds the same floats in the
-    same order as a compaction of _expand's output.
+    sums are never formed.  A frontier whose least sum is at or above every
+    cut-off sums all its masses, when none is zero, with no compare.
+    Otherwise the masses that reach the threshold, dropped children aside,
+    are compacted in place in the order i * s + y.  Either way one numpy sum
+    over a contiguous array adds the same floats in the same order as a
+    compaction of _expand's output.  An empty frontier, whose parents'
+    children were all dropped, has mass 0.0.
     """
     s, m = step.size, probs.size
-    cut = [_least_addend(b, threshold) for b in step.tolist()]
-    if sums.max() < min(cut):
+    if not m:
         return 0.0
+    cut = [_least_addend(b, threshold) for b in step.tolist()]
     masses, reached = buffers.leaf(m)
     for y in range(s):
         np.multiply(probs, _factors(buffers.cyc, y, last, m), out=masses[:, y])

@@ -285,6 +285,27 @@ def test_underflowing_paths_are_dropped_as_in_the_reference(monkeypatch, s):
     assert sum(dropped) > 0
 
 
+@pytest.mark.parametrize("chunk", [3, 5])
+def test_a_piece_whose_children_all_underflow_matches(monkeypatch, chunk):
+    # 2^-537 squared is the least subnormal, and every entry of row 0 is
+    # below 1/2, so every child of the path 0, 0, 0 rounds to zero; a chunk
+    # below 2 s makes that node a piece of its own, so the level below it is
+    # empty, and at n = 5 the leaf level receives an empty frontier
+    sizes = []
+    inner = ldp._leaf_mass
+
+    def recording(buffers, step, probs, *rest):
+        sizes.append(probs.size)
+        return inner(buffers, step, probs, *rest)
+
+    monkeypatch.setattr(ldp, "_leaf_mass", recording)
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    P = np.array([[2.0 ** -537, 0.3, 0.3, 0.4], [0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+    assert (P[0] < 0.5).all()
+    assert_rows_match(P, np.array([2.0, 1.0, 1.5, 1.2]), 0.02, UnitSchedule(), 0, [4, 5, 6], chunk)
+    assert 0 in sizes
+
+
 @pytest.mark.parametrize("chunk", [ldp._ENUM_CHUNK, 5, 16, 50])
 @pytest.mark.parametrize(
     "zeros, tiny", [(False, False), (True, False), (False, True), (True, True)],

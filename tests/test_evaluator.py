@@ -510,11 +510,13 @@ def test_rounding_bounds_the_distance_to_an_extended_precision_recursion(seed, g
     actions = np.array([seed % 2, 0, 1])
     for sched, n in itertools.product((hyperbolic, unit), (10, 300)):
         if gamma == 0.0:
-            res = exact_discounted_value(m, StationaryPolicy(actions), sched, 0, n, 0)
+            res, rounding = longrun.evaluator._discounted(m, StationaryPolicy(actions), sched, 0, n, 0)
+            assert res == exact_discounted_value(m, StationaryPolicy(actions), sched, 0, n, 0)
         else:
-            res = exact_risk_value(m, StationaryPolicy(actions), sched, gamma, 0, n, 0)
+            res, rounding = longrun.evaluator._risk(m, StationaryPolicy(actions), sched, gamma, 0, n, 0)
+            assert res == exact_risk_value(m, StationaryPolicy(actions), sched, gamma, 0, n, 0)
         want = longdouble_values(m, actions, sched, gamma, 0, n, 0)
-        assert abs(np.longdouble(res.value) - want) <= res.rounding
+        assert abs(np.longdouble(res.value) - want) <= rounding()
 
 
 @pytest.mark.parametrize("gamma, seeds", [(1e-6, 20), (1e-8, 5)])
@@ -540,15 +542,15 @@ def test_sandwich_fails_an_ordering_broken_by_more_than_its_bound(monkeypatch, r
     # the discounted value moved to a row's bound still passes; one ulp
     # beyond it, the ordering is broken by more than the bound and fails
     rep = sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0)
-    inner = longrun.evaluator.exact_discounted_value
+    inner = longrun.evaluator._discounted
     lower, upper = rep.context["lower"], rep.context["upper"]
-    true_mid = inner(reference_model, reference_policy, unit, 0, 100, 0)
+    true_mid, rounding = inner(reference_model, reference_policy, unit, 0, 100, 0)
     # row 0 bounds lower by mid + slack, row 1 bounds mid by upper + slack
     slack = rep.rows[row].bound - (rep.context["mid"] if row == 0 else upper)
     edge = lower - slack if row == 0 else upper + slack
     for moved, passes in ((edge, True), (math.nextafter(edge, -math.inf if row == 0 else math.inf), False)):
-        monkeypatch.setattr(longrun.evaluator, "exact_discounted_value",
-                            lambda *args: dataclasses.replace(true_mid, value=moved))
+        monkeypatch.setattr(longrun.evaluator, "_discounted",
+                            lambda *args: (dataclasses.replace(true_mid, value=moved), rounding))
         if passes:
             assert sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0).passed
         else:
@@ -559,8 +561,8 @@ def test_sandwich_fails_an_ordering_broken_by_more_than_its_bound(monkeypatch, r
 def test_sandwich_fails_with_the_risk_values_swapped(monkeypatch, reference_model, reference_policy, unit):
     # a mis-signed gamma breaks both orderings by about gamma * variance,
     # far beyond the rounding bound at gamma = 0.5
-    inner = longrun.evaluator.exact_risk_value
-    monkeypatch.setattr(longrun.evaluator, "exact_risk_value", lambda m, p, s, g, *rest: inner(m, p, s, -g, *rest))
+    inner = longrun.evaluator._risk
+    monkeypatch.setattr(longrun.evaluator, "_risk", lambda m, p, s, g, *rest: inner(m, p, s, -g, *rest))
     with pytest.raises(CheckFailed) as exc:
         sandwich_check(reference_model, reference_policy, unit, 0.5, 0, 100, 0)
     assert not any(r.passed for r in exc.value.report.rows)
