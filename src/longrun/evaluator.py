@@ -362,12 +362,15 @@ def discounted_optimality_check(
     stationary policy's discounted finite-horizon value stays within the
     certified slack of the gain at every horizon, and that a seeded panel of
     random time-varying policies never beats the gain by more than the
-    phi(k)-weighted relative-value slack.
+    phi(k)-weighted relative-value slack.  The panel, drawn from its own
+    seeded generator, is drawn right after the window check, so a panel
+    above its cap is refused before any solve or evaluation.
     """
     horizon_grid = _horizon_grid(horizon_grid)
+    phi_k = schedule.phi(k)
+    panel = random_policy_panel(model, n_slices=max(horizon_grid), size=panel_size, seed=panel_seed, start=k)
     sol = relative_value_iteration(model, tol=tol)
     w_max = float(sol.w.max())
-    phi_k = schedule.phi(k)
     rows = []
     for n in horizon_grid:
         res = exact_discounted_value(model, sol.policy, schedule, k, n, x)
@@ -375,7 +378,6 @@ def discounted_optimality_check(
         slack = (phi_k * w_max + w_max) / norm + CHECK_SLACK
         gap = abs(res.value - sol.lam)
         rows.append(CheckRow(label=f"optimal policy, n={n}", value=gap, bound=slack, passed=gap <= slack))
-    panel = random_policy_panel(model, n_slices=max(horizon_grid), size=panel_size, seed=panel_seed, start=k)
     for idx, policy in enumerate(panel):
         for n in horizon_grid:
             res = exact_discounted_value(model, policy, schedule, k, n, x)

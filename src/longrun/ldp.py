@@ -16,15 +16,19 @@ frontier, with the factors read from a cyclic table of P's columns at the
 frontier's phase.  Every level writes into arrays allocated once per
 public call, for its largest horizon, and reused by all its horizons,
 start states and chunks: one cyclic table, the frontiers that a walk of
-the chunk tree keeps alive, and the leaf level's masses and mask.  The
-leaf level never forms its partial sums: round-to-nearest addition is
-monotone in each operand, so fl(a + step[y]) >= threshold holds exactly
-when a is at least one float cut-off per column, and each parent's sum is
-compared with it.  A leaf chunk whose sums lie all at or above every
-cut-off needs no compare.  The masses that reach the threshold are
-compacted in place.  On a kernel whose products cannot underflow, the
-enumeration scans no level for zero children.  The
-deviation-bound audit enumerates a start state in full only when a pruned
+the chunk tree keeps alive down to the leaves' grandparents, and block
+scratch for the last two levels.  The leaves' parents and the leaves are
+never stored whole: a block of parents at a time is expanded and its
+leaves' masses written in cache, and each piece's mass rebuilds numpy's
+pairwise summation tree over them, so every sum is the float that storing
+both levels gives.  No leaf's partial sum is formed: round-to-nearest
+addition is monotone in each operand, so fl(a + step[y]) >= threshold
+holds exactly when a is at least one float cut-off per column, and
+composed cut-offs count a piece's reached leaves from the grandparents'
+sums.  A block whose sums lie all at or above every cut-off needs no
+compare, and one whose sums lie all below needs no multiply.  On a kernel
+whose products cannot underflow, the enumeration scans no level for zero
+children.  The deviation-bound audit enumerates a start state in full only when a pruned
 bracket on its mass cannot rule it out as the worst one, so its rows equal
 the full per-start maximum bit for bit.  Each public function checks its
 kernel once.
@@ -34,8 +38,9 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -67,9 +72,13 @@ from .risk_solver import _communicating_classes, _perron_bracket
 _LOG_BOX = 40.0
 
 _ENUM_CHUNK = 1 << 21
-# leaf masses compacted per boolean-indexing copy: small copies reuse the
-# same memory where one copy of a whole leaf level would need fresh pages
+# the leaves, the enumeration's last level, are generated in blocks of about
+# this many, which stay in cache, and never stored whole
 _LEAF_BLOCK = 1 << 16
+# the leaf masses' sum rebuilds numpy's pairwise summation tree above nodes of
+# at most this many masses, each one numpy sum; at least numpy's unrolled
+# block of 128, below which its tree is not a halving
+_SUM_NODE = 1 << 16
 # relative slack between a pruned bracket's hi and the float mass of a full
 # enumeration: n * ROW_SUM_TOL of row sums plus the products' and the
 # pairwise sums' rounding, all below 1e-10 for n <= 22; the absolute term
@@ -247,8 +256,9 @@ def _cycle_table(P: np.ndarray, n: int) -> np.ndarray:
     """The table cyc[y, k] = P[k % s, y] of every enumeration up to horizon n.
 
     A frontier at phase p < s reads its factors for child column y from the
-    slice cyc[y, p:p + m]; frontiers have at most max(1, _ENUM_CHUNK // s)
-    and at most s^(n - 2) nodes, so every slice fits.  The entries do not
+    slice cyc[y, p:p + m]; frontiers, and the chunks of the leaves'
+    parents, have at most max(1, _ENUM_CHUNK // s) and at most s^(n - 2)
+    nodes, so every slice fits.  The entries do not
     depend on n, so one table built for a call's largest horizon serves its
     shorter ones too.  An index array of last states reads cyc[:, :s] = P.T.
     """
@@ -291,11 +301,15 @@ class _Buffers:
     split frontier's halves are views that stay alive while the pieces
     below them are walked; two frontiers that the depths down to the first
     split alternate between, since each of those dies once expanded; and
-    the leaf level's masses and its reached-threshold mask.  The leaf
-    compares against cut-offs, so none of its partial sums is stored.  Each
-    is sized for the full path tree.  A frontier compacted after dropped
+    the block scratch of the last two levels.  The deepest frontier stored
+    is the leaves' grandparents', at depth n - 2: the leaves' parents and
+    the leaves are generated a block at a time (_leaf_mass), into a block
+    of parents, a block of leaf masses behind at most one summation node's
+    carried masses, and the leaf block's reached mask.  Each frontier is
+    sized for the full path tree.  A frontier compacted after dropped
     children can have a different chunk tree below it, so a buffer too
-    small for a frontier is replaced by a larger one.
+    small for a frontier is replaced by a larger one; the block scratch
+    grows as a call's pieces ask for it.
 
     positive says that no child of any horizon of the call can have
     probability zero: every entry of P is positive and (min P)^n >= 2^-1000
@@ -309,25 +323,27 @@ class _Buffers:
         self.cyc = _cycle_table(P, n)
         largest = _largest_frontiers(s, n)
         # the depths down to the first that splits, top, alternate between two frontiers
-        top = min(next((j for j in range(2, n) if largest[j] * s > _ENUM_CHUNK), n), n - 1)
+        top = min(next((j for j in range(2, n) if largest[j] * s > _ENUM_CHUNK), n), n - 2)
         pair = {j % 2: np.empty((2, largest[j])) for j in (top - 1, top) if j >= 2}
-        self._frontiers = [pair.get(j % 2) if j <= top else np.empty((2, largest[j])) for j in range(n)]
-        leaf = max((largest[m] for m in horizons if m >= 2), default=0)
-        self._masses, self._reached = np.empty(leaf), np.empty(leaf, bool)
+        self._frontiers = [pair.get(j % 2) if j <= top else np.empty((2, largest[j])) for j in range(n - 1)]
+        self._parents, self.masses, self.reached = np.empty((2, 0)), np.empty(0), np.empty(0, bool)
 
     def frontier(self, depth: int, size: int) -> tuple:
         """Room for the probabilities and partial sums of a frontier of
-        size nodes at depth (below the horizon)."""
+        size nodes at depth (at most n - 2)."""
         buf = self._frontiers[depth] = _grown(self._frontiers[depth], size)
         return buf[0, :size], buf[1, :size]
 
-    def leaf(self, m: int) -> tuple:
-        """Room for the (m, s) leaf masses and reached mask of a frontier of
-        m nodes one step above the horizon."""
-        s = self.cyc.shape[0]
-        self._masses = _grown(self._masses, m * s)
-        self._reached = _grown(self._reached, m * s)
-        return self._masses[:m * s].reshape(m, s), self._reached[:m * s].reshape(m, s)
+    def parents(self, size: int) -> tuple:
+        """Room for the probabilities and partial sums of a block of size
+        leaves' parents."""
+        self._parents = _grown(self._parents, size)
+        return self._parents[0, :size], self._parents[1, :size]
+
+    def leaves(self, masses: int, reached: int) -> None:
+        """Grows the leaf masses and the reached mask to at least the given
+        sizes."""
+        self.masses, self.reached = _grown(self.masses, masses), _grown(self.reached, reached)
 
 
 def _factors(cyc: np.ndarray, y: int, last, m: int) -> np.ndarray:
@@ -407,47 +423,176 @@ def _least_addend(b: float, t: float) -> float:
     return _ordered_float(hi)
 
 
-def _leaf_mass(buffers: _Buffers, step: np.ndarray, probs, sums, last, threshold: float) -> float:
-    """Mass of the children of a frontier one step above the horizon whose
-    partial sums reach the threshold.
+def _block_sizes(s: int) -> tuple:
+    """The leaves' parents per chunk and their grandparents per block, each
+    about _LEAF_BLOCK leaves, and at least one node."""
+    width = max(1, _LEAF_BLOCK // s)
+    return width, max(1, width // s)
 
-    Child (i, y) reaches it exactly when sums[i] >= cut[y], the least float
-    whose sum with step[y] does (_least_addend), so the children's partial
-    sums are never formed.  A frontier whose least sum is at or above every
-    cut-off sums all its masses, when none is zero, with no compare.
-    Otherwise the masses that reach the threshold, dropped children aside,
-    are compacted in place in the order i * s + y.  Either way one numpy sum
-    over a contiguous array adds the same floats in the same order as a
-    compaction of _expand's output.  An empty frontier, whose parents'
-    children were all dropped, has mass 0.0.
+
+def _pairwise_sum(take, k: int):
+    """numpy's sum of k floats, which take(size) hands out in order as
+    contiguous arrays, bit for bit.
+
+    numpy sums a contiguous array pairwise (Higham 1993): one of more than
+    128 entries is split after half its length rounded down to a multiple
+    of 8, and the sums of the two parts are added.  So a node of at most
+    _SUM_NODE entries is one numpy sum, and the nodes above it add as
+    numpy's do.
     """
+    if k <= _SUM_NODE:
+        return take(k).sum()
+    half = k // 2 - k // 2 % 8
+    return _pairwise_sum(take, half) + _pairwise_sum(take, k - half)
+
+
+def _parent_block(buffers: _Buffers, step: np.ndarray, probs, sums, last, g: int) -> tuple:
+    """The children (_expand) of the block of grandparents from node g of a
+    frontier at depth n - 2, written into the buffers' parent block."""
+    s = step.size
+    stop = g + _block_sizes(s)[1]
+    head = (last + g) % s if isinstance(last, int) else last[g:stop]
+    block = probs[g:stop]
+    return _expand(buffers.cyc, step, block, sums[g:stop], head, buffers.parents(block.size * s), buffers.positive)
+
+
+def _parent_chunks(buffers: _Buffers, step: np.ndarray, probs, sums, last, prefix: list, lo: int, hi: int):
+    """The leaves' parents lo..hi-1, the children of a frontier at depth
+    n - 2 in _expand's order with zero ones dropped, as consecutive
+    (probs, sums, last) chunks of at most _block_sizes(s)[0] nodes.
+
+    Block b of the frontier has prefix[b] parents before it, and is expanded
+    when the chunks reach it.
+    """
+    s = step.size
+    width, grand = _block_sizes(s)
+    b = bisect_right(prefix, lo) - 1
+    while b + 1 < len(prefix) and prefix[b] < hi:
+        kids, kid_sums, kid_last = _parent_block(buffers, step, probs, sums, last, b * grand)
+        stop = min(hi, prefix[b + 1]) - prefix[b]
+        for a in range(max(lo - prefix[b], 0), stop, width):
+            z = min(a + width, stop)
+            yield kids[a:z], kid_sums[a:z], (kid_last + a) % s if isinstance(kid_last, int) else kid_last[a:z]
+        b += 1
+
+
+def _leaf_block(buffers: _Buffers, cut: list, probs, sums, last, start: int) -> int:
+    """Writes the nonzero masses of the leaves below a chunk of their
+    parents that reach the threshold, sums[i] >= cut[y], into
+    buffers.masses from start, compacted in the order i * s + y, and
+    returns their number.  A chunk whose sums lie all below every cut-off
+    writes none, and one whose sums lie all at or above every cut-off, with
+    no zero mass, needs no compare."""
+    s, c = len(cut), probs.size
+    if sums.max() < min(cut):
+        return 0
+    flat = buffers.masses[start:start + c * s]
+    masses = flat.reshape(c, s)
+    for y in range(s):
+        np.multiply(probs, _factors(buffers.cyc, y, last, c), out=masses[:, y])
+    if sums.min() >= max(cut) and (buffers.positive or flat.all()):
+        return flat.size
+    reached = buffers.reached[:c * s].reshape(c, s)
+    for y, cut_y in enumerate(cut):
+        np.greater_equal(sums, cut_y, out=reached[:, y])
+    if not buffers.positive:
+        # zero masses leave the sum, as _expand drops them
+        np.logical_and(reached, masses, out=reached)
+    kept = flat[reached.ravel()]
+    flat[:kept.size] = kept
+    return kept.size
+
+
+def _piece_sum(buffers: _Buffers, cut: list, chunks, k: int) -> float:
+    """The pairwise sum of the k masses that _leaf_block keeps for the
+    parent chunks in order.  A block is written behind the masses that the
+    blocks before it left over for the current node, which first move to
+    the front of buffers.masses."""
+    masses, start, end = buffers.masses, 0, 0
+
+    def take(size):
+        nonlocal start, end
+        if end - start < size:
+            masses[:end - start] = masses[start:end]
+            start, end = 0, end - start
+            while end < size:
+                end += _leaf_block(buffers, cut, *next(chunks), end)
+        start += size
+        return masses[start - size:start]
+
+    return float(_pairwise_sum(take, k))
+
+
+def _reached_leaves(sums, composed: list, lo: int, hi: int) -> int:
+    """Number of the leaves below the parents lo..hi-1 of a frontier at
+    depth n - 2 with no zero child that reach the threshold.
+
+    Parent g * s + y is node g's child y, and its leaves reach it exactly
+    when sums[g] is at least their entries of composed[y]: fl(fl(a + b1) +
+    b2) >= t exactly when a >= _least_addend(b1, _least_addend(b2, t)),
+    since round-to-nearest addition is monotone in each operand.  So no
+    parent's sum is formed.
+    """
+    s, count = len(composed), 0
+    for y, cuts in enumerate(composed):
+        # the nodes g with lo <= g * s + y < hi: ceil((lo - y) / s) <= g < ceil((hi - y) / s)
+        part = sums[-((y - lo) // s):-((y - hi) // s)]
+        if part.size and part.min() >= cuts[-1]:
+            count += part.size * s
+        else:
+            count += sum(int(np.count_nonzero(part >= c)) for c in cuts)
+    return count
+
+
+def _leaf_mass(buffers: _Buffers, steps: np.ndarray, probs, sums, last, threshold: float) -> float:
+    """Mass of the leaves two levels below a frontier at depth n - 2 whose
+    partial sums reach the threshold, bit for bit the sum of an enumeration
+    that stores both levels; steps holds the two steps' rows.
+
+    The leaves' parents, the frontier's children in _expand's order, are
+    never stored whole: the chunk tree splits them as it splits a stored
+    frontier, into pieces lo..hi-1 joined by left + right, and each block of
+    them is expanded when a piece reaches it.  A leaf (i, y) reaches the
+    threshold exactly when its parent's sum is at least cut[y], the least
+    float whose sum with the leaves' step does (_least_addend).  A piece's
+    mass is numpy's pairwise sum of its reached nonzero masses in the order
+    i * s + y, rebuilt from their number k (_pairwise_sum) and fed one leaf
+    block at a time (_leaf_block).  On a frontier with no zero child, k
+    comes from the frontier's own sums through composed cut-offs
+    (_reached_leaves), and the parents' positions from the block sizes;
+    otherwise the positions come from per-block counts of nonzero children,
+    and k from the leaf blocks.  An empty frontier, whose parents' children
+    were all dropped, has mass 0.0.
+    """
+    step, leaf_step = steps
     s, m = step.size, probs.size
     if not m:
         return 0.0
-    cut = [_least_addend(b, threshold) for b in step.tolist()]
-    masses, reached = buffers.leaf(m)
-    for y in range(s):
-        np.multiply(probs, _factors(buffers.cyc, y, last, m), out=masses[:, y])
-    flat = masses.ravel()
-    zero_free = buffers.positive or flat.all()
-    if zero_free and sums.min() >= max(cut):
-        return float(flat.sum())
-    for y in range(s):
-        np.greater_equal(sums, cut[y], out=reached[:, y])
-    if not zero_free:
-        # zero masses leave the compaction, as _expand drops them
-        np.logical_and(reached, masses, out=reached)
-    hit = reached.ravel()
-    kept = flat.size
-    if not hit.all():
-        # in place, a block at a time: a block's kept masses land at or
-        # before its start, so no later block is overwritten
-        kept = 0
-        for lo in range(0, flat.size, _LEAF_BLOCK):
-            block = flat[lo:lo + _LEAF_BLOCK][hit[lo:lo + _LEAF_BLOCK]]
-            flat[kept:kept + block.size] = block
-            kept += block.size
-    return float(flat[:kept].sum())
+    cut = [_least_addend(b, threshold) for b in leaf_step.tolist()]
+    width, grand = _block_sizes(s)
+    blocks = range(0, m, grand)
+    if buffers.positive:
+        composed = [sorted(_least_addend(b, c) for c in cut) for b in step.tolist()]
+        prefix = list(accumulate((min(grand, m - g) * s for g in blocks), initial=0))
+    else:
+        prefix = list(accumulate((_parent_block(buffers, step, probs, sums, last, g)[0].size for g in blocks), initial=0))
+
+    def chunks(lo, hi):
+        return _parent_chunks(buffers, step, probs, sums, last, prefix, lo, hi)
+
+    def piece(lo, hi):
+        if (hi - lo) * s > _ENUM_CHUNK and hi - lo > 1:
+            half = (hi - lo) // 2
+            return piece(lo, lo + half) + piece(lo + half, hi)
+        block = min(width, hi - lo) * s
+        buffers.leaves(min((hi - lo) * s, _SUM_NODE) + block, block)
+        if buffers.positive:
+            k = _reached_leaves(sums, composed, lo, hi)
+        else:
+            k = sum(_leaf_block(buffers, cut, *chunk, 0) for chunk in chunks(lo, hi))
+        return _piece_sum(buffers, cut, chunks(lo, hi), k) if k else 0.0
+
+    return piece(0, prefix[-1])
 
 
 def _start(steps: np.ndarray, x: int) -> tuple:
@@ -459,11 +604,13 @@ def _enumerate_mass(buffers: _Buffers, steps, j, probs, sums, last, threshold):
     """Mass of the length-n paths (n = len(steps)) whose weighted r-sum
     reaches the threshold, from a frontier at depth j.
 
-    Expands level by level into the call's buffers; splits the frontier in
-    half whenever the next expansion would exceed the chunk size, so memory
-    stays bounded while the fixed index order keeps the accumulated sum
-    deterministic.  The second half of a frontier at phase p cycles from
-    (p + half) % s.  The last level is _leaf_mass.
+    Expands level by level into the call's buffers down to depth n - 2, the
+    leaves' grandparents, whose frontier _leaf_mass takes; splits the
+    frontier in half whenever the next expansion would exceed the chunk
+    size, so memory stays bounded while the fixed index order keeps the
+    accumulated sum deterministic.  The second half of a frontier at phase
+    p cycles from (p + half) % s.  A horizon below 3 has no such depth: its
+    leaves are expanded whole and their reached masses summed.
     """
     s, n = buffers.cyc.shape[0], len(steps)
     while j < n:
@@ -472,9 +619,10 @@ def _enumerate_mass(buffers: _Buffers, steps, j, probs, sums, last, threshold):
             heads = (last, (last + half) % s) if isinstance(last, int) else (last[:half], last[half:])
             return _enumerate_mass(buffers, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
                 _enumerate_mass(buffers, steps, j, probs[half:], sums[half:], heads[1], threshold)
-        if j == n - 1:
-            return _leaf_mass(buffers, steps[j], probs, sums, last, threshold)
-        out = buffers.frontier(j + 1, probs.size * s)
+        if j == n - 2:
+            return _leaf_mass(buffers, steps[j:], probs, sums, last, threshold)
+        # the leaves of a horizon below 3 are new arrays
+        out = buffers.frontier(j + 1, probs.size * s) if j < n - 2 else None
         probs, sums, last = _expand(buffers.cyc, steps[j], probs, sums, last, out, buffers.positive)
         j += 1
     return float(probs[sums >= threshold].sum())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import longrun.cli
+import longrun.evaluator
 import longrun.ldp
 from longrun import density_bounds, ergodicity_coefficient, load_model
 from longrun.cli import gen_model, main, parse_schedule_arg
@@ -234,6 +235,18 @@ def test_verify_refuses_a_panel_above_its_entry_cap_with_exit_2(tmp_path, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "exceeds 134217728 action entries" in err
+
+
+def test_verify_refuses_an_oversized_panel_before_any_evaluation(tmp_path, capsys, model_file, monkeypatch):
+    # the discounted check draws its panel before it evaluates any horizon,
+    # so the refusal costs no forward pass
+    calls = []
+    inner = longrun.evaluator._forward
+    monkeypatch.setattr(longrun.evaluator, "_forward", lambda *args: calls.append(args) or inner(*args))
+    out = ["--model", model_file, "--out", str(tmp_path / "o")]
+    assert main(["verify", "--panel-size", "1000", "--horizons", "67109"] + out) == 2
+    assert "exceeds 134217728 action entries" in capsys.readouterr().err
+    assert not calls
 
 
 def test_ldp_horizons_past_the_guard_exit_3_and_past_the_cap_exit_2(tmp_path, capsys, model_file):

@@ -290,7 +290,8 @@ def test_a_piece_whose_children_all_underflow_matches(monkeypatch, chunk):
     # 2^-537 squared is the least subnormal, and every entry of row 0 is
     # below 1/2, so every child of the path 0, 0, 0 rounds to zero; a chunk
     # below 2 s makes that node a piece of its own, so the level below it is
-    # empty, and at n = 5 the leaf level receives an empty frontier
+    # empty: at n = 5 the leaves' parents, and at n = 6 the frontier of the
+    # leaves' grandparents that the leaf level receives
     sizes = []
     inner = ldp._leaf_mass
 
@@ -347,11 +348,13 @@ def test_event_probabilities_of_successive_calls_match(monkeypatch, tiny):
 
 def test_deviation_audit_peak_memory():
     # the deviation benchmark's first model at workload seed 7 (model seed
-    # SeedSequence([7, 3])): the audit keeps one frontier per split depth,
-    # two alternating frontiers above the first split, the cyclic table and
-    # the leaf level's masses and mask, about 5.2 chunks of floats; a column
-    # of leaf partial sums took 5.5, allocating each level afresh 6.33, and
-    # a buffer for every depth would take about 7.7
+    # SeedSequence([7, 3])): the audit keeps the cyclic table, two
+    # alternating frontiers above the first split and one frontier per split
+    # depth down to the leaves' grandparents, and block scratch for the last
+    # two levels, about 3.15 chunks of floats; storing the leaves' parents
+    # and the leaf level's masses and mask took 5.2, a column of leaf partial
+    # sums 5.5, allocating each level afresh 6.33, and a buffer for every
+    # depth would take about 7.7
     seed = int(np.random.SeedSequence([7, 3]).generate_state(1)[0])
     model = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": seed})
     P = model.policy_kernel(StationaryPolicy([0, 0, 0]))
@@ -364,7 +367,7 @@ def test_deviation_audit_peak_memory():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 6.1 * ldp._ENUM_CHUNK * 8
+    assert peak <= 4.1 * ldp._ENUM_CHUNK * 8
 
 
 # ------------------------------------------------ leaf cut-offs
@@ -408,6 +411,35 @@ def test_least_addend_is_the_exact_cut(case):
         assert (a + b >= t) == (a >= cut)
 
 
+@st.composite
+def two_step_cases(draw):
+    """(b1, b2, t): (b2, t) as addend_cases draws them, and b1 drawn the same
+    way against the one-step cut c, near c or -c included, so that the
+    composed cut cancels too."""
+    b2, t = draw(addend_cases())
+    c = ldp._least_addend(b2, t)
+    kind = draw(st.sampled_from(["free", "special", "near", "opposite"]))
+    if kind == "free" or not math.isfinite(c):
+        return draw(FLOATS), b2, t
+    if kind == "special":
+        return draw(SPECIAL), b2, t
+    b1 = c if kind == "near" else -c
+    for _ in range(draw(st.integers(0, 3))):
+        b1 = math.nextafter(b1, draw(st.sampled_from([-math.inf, math.inf])))
+    return (b1 if math.isfinite(b1) else c), b2, t
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(case=two_step_cases())
+def test_composed_least_addend_is_the_exact_two_step_cut(case):
+    # fl(fl(a + b1) + b2) >= t is monotone in a, so one composed cut-off
+    # decides a leaf two levels below a grandparent's sum a
+    b1, b2, t = case
+    cut = ldp._least_addend(b1, ldp._least_addend(b2, t))
+    for a in steps_around(cut):
+        assert ((a + b1) + b2 >= t) == (a >= cut)
+
+
 def reference_leaf_mass(cyc, step, probs, sums, last, threshold):
     """The leaf level as it was before the cut-offs: each column's partial
     sums are added and compared with the threshold, then the reached
@@ -431,35 +463,112 @@ def reference_leaf_mass(cyc, step, probs, sums, last, threshold):
     return float(flat[:kept].sum())
 
 
+def reference_last_levels(buffers, steps, probs, sums, last, threshold, chunk):
+    """The last two levels as an enumeration that stores them: the leaves'
+    parents expanded whole, split by the chunk tree, and each piece's leaves
+    by reference_leaf_mass."""
+    s = steps.shape[1]
+
+    def piece(probs, sums, last):
+        if probs.size * s > chunk and probs.size > 1:
+            half = probs.size // 2
+            heads = (last, (last + half) % s) if isinstance(last, int) else (last[:half], last[half:])
+            return piece(probs[:half], sums[:half], heads[0]) + piece(probs[half:], sums[half:], heads[1])
+        return reference_leaf_mass(buffers.cyc, steps[1], probs, sums, last, threshold)
+
+    return piece(*ldp._expand(buffers.cyc, steps[0], probs, sums, last))
+
+
 @pytest.mark.parametrize("chunk", [ldp._ENUM_CHUNK, 7], ids=["default", "small"])
 @pytest.mark.parametrize(
     "zeros, tiny", [(False, False), (True, False), (False, True)], ids=["positive", "zero-entries", "underflow"]
 )
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_leaf_mass_matches_the_add_and_compare_reference(monkeypatch, s, zeros, tiny, chunk):
-    # random frontiers at a phase and with index arrays of last states;
-    # thresholds below every child (all reached), above every child (none),
-    # at children's sums and one ulp from them, and in between
+    # random frontiers of the leaves' grandparents at a phase and with index
+    # arrays of last states; thresholds below every leaf (all reached), above
+    # every leaf (none), at leaves' sums and one ulp from them, and in between
     monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
     rng = np.random.default_rng([s, zeros, tiny, chunk])
     P = ldp._require_ergodic(kernel_with(rng, s, zeros, tiny))
     buffers = ldp._Buffers(P, [MAX_HORIZON[s]])
-    width = buffers.cyc.shape[1] - s
+    # the leaves' parents, s per grandparent, read the cyclic table too
+    width = max(1, (buffers.cyc.shape[1] - s) // s)
     for trial in range(40):
         m = int(rng.integers(1, min(width, 300) + 1))
         probs = rng.random(m) * (1e-300 if tiny and trial % 4 == 0 else 1.0)
         sums = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
-        step = rng.normal(size=s)
+        steps = rng.normal(size=(2, s))
         last = int(rng.integers(s)) if trial % 2 else rng.integers(s, size=m)
-        children = (sums[:, None] + step[None, :]).ravel()
-        thresholds = [children.min(), math.nextafter(children.min(), -math.inf), children.max(),
-                      math.nextafter(children.max(), math.inf), float(np.median(children)),
-                      float(rng.choice(children)), math.nextafter(float(rng.choice(children)), math.inf)]
+        leaves = ((sums[:, None] + steps[0])[:, :, None] + steps[1]).ravel()
+        thresholds = [leaves.min(), math.nextafter(leaves.min(), -math.inf), leaves.max(),
+                      math.nextafter(leaves.max(), math.inf), float(np.median(leaves)),
+                      float(rng.choice(leaves)), math.nextafter(float(rng.choice(leaves)), math.inf)]
         for threshold in thresholds:
-            want = reference_leaf_mass(buffers.cyc, step, probs, sums, last, threshold)
-            assert ldp._leaf_mass(buffers, step, probs, sums, last, threshold) == want
+            want = reference_last_levels(buffers, steps, probs, sums, last, threshold, chunk)
+            assert ldp._leaf_mass(buffers, steps, probs, sums, last, threshold) == want
     if zeros or tiny:
         assert not buffers.positive
+
+
+@pytest.mark.parametrize("block, node", [(1, 128), (5, 128), (16, 256), (100, 128), (ldp._LEAF_BLOCK, 128)])
+@pytest.mark.parametrize(
+    "zeros, tiny", [(False, False), (True, False), (False, True), (True, True)],
+    ids=["positive", "zero-entries", "underflow", "zero-entries-underflow"],
+)
+def test_small_blocks_and_nodes_match_the_reference(monkeypatch, block, node, zeros, tiny):
+    # blocks of a few leaves and nodes of 128 masses: nodes span blocks,
+    # blocks hold several nodes, and masses carry over between blocks;
+    # chunk 50 also splits the leaves' parents into pieces mid-block
+    monkeypatch.setattr(ldp, "_LEAF_BLOCK", block)
+    monkeypatch.setattr(ldp, "_SUM_NODE", node)
+    summed = []
+    inner = ldp._pairwise_sum
+
+    def recording(take, k):
+        summed.append(k)
+        return inner(take, k)
+
+    monkeypatch.setattr(ldp, "_pairwise_sum", recording)
+    # kernels whose starts each reach several hundred leaves at n = 7
+    rng = np.random.default_rng([3, zeros, tiny])
+    P = kernel_with(rng, 4, zeros, tiny)
+    f = 1.0 + 2.0 * rng.random(4)
+    for chunk in (ldp._ENUM_CHUNK, 50):
+        monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+        assert_rows_match(P, f, 0.01, UnitSchedule(), 0, [3, 6, 7], chunk)
+    assert max(summed) > node
+
+
+def take_from(values):
+    """take(size): the next size entries of values."""
+    end = 0
+
+    def take(size):
+        nonlocal end
+        end += size
+        return values[end - size:end]
+
+    return take
+
+
+# lengths 1-300, one around multiples of 8 and of the node sizes, and the
+# largest leaf piece of the deviation benchmark at n = 16
+SUM_LENGTHS = sorted(
+    set(range(1, 301))
+    | {m + d for m in (8 * 125, 8 * 1024, 128 * 3, 1 << 16, 2 << 16, 3 << 16, 1 << 18) for d in (-1, 0, 1)}
+    | {1_793_616}
+)
+
+
+@pytest.mark.parametrize("node", [128, ldp._SUM_NODE])
+def test_pairwise_sum_follows_numpys_summation_tree(monkeypatch, node):
+    # numpy sums pairwise; a numpy whose tree changed fails here by name
+    monkeypatch.setattr(ldp, "_SUM_NODE", node)
+    rng = np.random.default_rng(node)
+    for k in SUM_LENGTHS:
+        values = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, size=k)
+        assert ldp._pairwise_sum(take_from(values), k) == np.add.reduce(values)
 
 
 def test_positive_buffers_need_no_zero_scan():

@@ -581,3 +581,15 @@ def test_panel_refuses_more_entries_than_its_cap_before_drawing(two_action_model
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_discounted_check_refuses_an_oversized_panel_before_solving(monkeypatch, unit):
+    # an identity kernel is not ergodic, so the solve would raise NotErgodic;
+    # the panel is drawn first, so its cap wins and no value is computed
+    calls = []
+    inner = longrun.evaluator._forward
+    monkeypatch.setattr(longrun.evaluator, "_forward", lambda *args: calls.append(args) or inner(*args))
+    frozen = Model(np.array([np.eye(2), np.eye(2)]), np.zeros((2, 2)))
+    with pytest.raises(InvalidModel, match="exceeds"):
+        discounted_optimality_check(frozen, unit, 0, [67109], panel_size=1000)
+    assert not calls
