@@ -10,18 +10,20 @@ bound on the Perron root, taken class by class as risk_solver.perron_oracle
 also takes it: a certified lower bound.  The module needs numpy only.
 The deviation-probability bounds are verified exactly, by the exact risk
 evaluator for the exponential-martingale inequality and by full path
-enumeration for event probabilities.  Each level of the path tree writes
-one child column at a time, a contiguous multiply and add over the whole
-frontier, with the factors read from a cyclic table of P's columns at the
-frontier's phase.  Every level writes into arrays allocated once per
-public call, for its largest horizon, and reused by all its horizons,
-start states and chunks: one cyclic table, the frontiers that a walk of
-the chunk tree keeps alive down to the leaves' grandparents, and block
-scratch for the last two levels.  The leaves' parents and the leaves are
-never stored whole: a block of parents at a time is expanded and its
+enumeration for event probabilities.  Each level of the path tree is
+generated from blocks of the level above, one child column at a time, a
+contiguous multiply and add over the block, with the factors read from a
+cyclic table of P's columns, one block wide, at the block's phase.  No
+level is stored whole once the chunk tree splits it: each piece is
+generated from its parents' range and walked before the next.  Every
+level writes into arrays allocated once per public call, for its largest
+horizon, and reused by all its horizons, start states and pieces: the
+table, the pieces that a walk of the chunk tree keeps alive down to the
+leaves' grandparents, and block scratch.  The leaves' parents and the
+leaves are never stored: a block of parents at a time is expanded and its
 leaves' masses written in cache, and each piece's mass rebuilds numpy's
 pairwise summation tree over them, so every sum is the float that storing
-both levels gives.  No leaf's partial sum is formed: round-to-nearest
+every level gives.  No leaf's partial sum is formed: round-to-nearest
 addition is monotone in each operand, so fl(a + step[y]) >= threshold
 holds exactly when a is at least one float cut-off per column, and
 composed cut-offs count a piece's reached leaves from the grandparents'
@@ -73,7 +75,8 @@ _LOG_BOX = 40.0
 
 _ENUM_CHUNK = 1 << 21
 # the leaves, the enumeration's last level, are generated in blocks of about
-# this many, which stay in cache, and never stored whole
+# this many, which stay in cache, and never stored; every other level in
+# blocks of about this many over s
 _LEAF_BLOCK = 1 << 16
 # the leaf masses' sum rebuilds numpy's pairwise summation tree above nodes of
 # at most this many masses, each one numpy sum; at least numpy's unrolled
@@ -252,27 +255,26 @@ def dv_supermartingale_check(
     return SupermartingaleCheck(lhs=lhs, d_f=d_f, passed=lhs <= d_f + 1e-12)
 
 
-def _cycle_table(P: np.ndarray, n: int) -> np.ndarray:
-    """The table cyc[y, k] = P[k % s, y] of every enumeration up to horizon n.
+def _cycle_table(P: np.ndarray) -> np.ndarray:
+    """The table cyc[y, k] = P[k % s, y] that every expansion reads.
 
-    A frontier at phase p < s reads its factors for child column y from the
-    slice cyc[y, p:p + m]; frontiers, and the chunks of the leaves'
-    parents, have at most max(1, _ENUM_CHUNK // s) and at most s^(n - 2)
-    nodes, so every slice fits.  The entries do not
-    depend on n, so one table built for a call's largest horizon serves its
-    shorter ones too.  An index array of last states reads cyc[:, :s] = P.T.
+    A block at phase p < s reads its factors for child column y from the
+    slice cyc[y, p:p + c]; the blocks of frontier nodes that _parent_block
+    expands, and the chunks of the leaves' parents that _leaf_block
+    multiplies, have at most _block_sizes(s)[0] nodes, so every slice fits
+    in that many columns plus s, whatever the horizon.  An index array of
+    last states reads cyc[:, :s] = P.T.
     """
     s = P.shape[0]
-    width = min(_ENUM_CHUNK // s, s ** (n - 1)) + s
-    return np.tile(P.T, (1, -(-width // s)))
+    return np.tile(P.T, (1, -(-(_block_sizes(s)[0] + s) // s)))
 
 
 def _largest_frontiers(s: int, n: int) -> list:
-    """Entry j (1 <= j <= n) is the largest frontier at depth j of the full
-    path tree that _enumerate_mass walks, with its halvings: a frontier
-    expands whole, or its pieces do."""
-    sizes, largest = {1}, [0, 1]
-    for _ in range(1, n):
+    """Entry j (1 <= j <= n) is the largest piece at depth j of the full
+    path tree that _enumerate_mass walks: a level is one piece, or the
+    pieces of its halvings, and each piece's children are the next level."""
+    sizes, largest = {1}, [0]
+    for _ in range(n):
         pieces = set()
         while sizes:
             m = sizes.pop()
@@ -280,8 +282,8 @@ def _largest_frontiers(s: int, n: int) -> list:
                 sizes |= {m // 2, m - m // 2}
             else:
                 pieces.add(m)
+        largest.append(max(pieces))
         sizes = {m * s for m in pieces}
-        largest.append(max(sizes))
     return largest
 
 
@@ -294,22 +296,21 @@ def _grown(buf: np.ndarray, size: int) -> np.ndarray:
 class _Buffers:
     """The arrays that the exact enumerations of one public call write into,
     sized for its largest horizon and reused by every horizon, start state
-    and chunk of the call.
+    and piece of the call.
 
     They hold what a walk of the chunk tree keeps alive, and no more: the
-    cyclic table; one frontier per depth below the first split, since a
-    split frontier's halves are views that stay alive while the pieces
-    below them are walked; two frontiers that the depths down to the first
-    split alternate between, since each of those dies once expanded; and
-    the block scratch of the last two levels.  The deepest frontier stored
-    is the leaves' grandparents', at depth n - 2: the leaves' parents and
-    the leaves are generated a block at a time (_leaf_mass), into a block
-    of parents, a block of leaf masses behind at most one summation node's
-    carried masses, and the leaf block's reached mask.  Each frontier is
-    sized for the full path tree.  A frontier compacted after dropped
-    children can have a different chunk tree below it, so a buffer too
-    small for a frontier is replaced by a larger one; the block scratch
-    grows as a call's pieces ask for it.
+    cyclic table, one block wide; two frontiers that the depths down to
+    the first split level alternate between, since each level above it is
+    one piece, which dies once its children are generated; one piece per
+    depth below it down to the leaves' grandparents, at depth n - 2, since
+    a piece stays alive while the pieces generated from it are walked; and
+    the block scratch: a block of parents, a block of leaf masses behind at
+    most one summation node's carried masses, and the leaf block's reached
+    mask.  No level is stored whole once the chunk tree splits it, and the
+    leaves' parents and the leaves are never stored at all.  Each buffer is
+    sized for the full path tree.  A level compacted after dropped children
+    can split into larger pieces than the full level does, so a frontier
+    buffer too small for a piece is replaced by a larger one.
 
     positive says that no child of any horizon of the call can have
     probability zero: every entry of P is positive and (min P)^n >= 2^-1000
@@ -320,30 +321,22 @@ class _Buffers:
     def __init__(self, P: np.ndarray, horizons):
         s, n = P.shape[0], max(horizons)
         self.positive = bool(float(P.min()) ** n >= 2.0 ** -1000)
-        self.cyc = _cycle_table(P, n)
+        self.cyc = _cycle_table(P)
         largest = _largest_frontiers(s, n)
-        # the depths down to the first that splits, top, alternate between two frontiers
-        top = min(next((j for j in range(2, n) if largest[j] * s > _ENUM_CHUNK), n), n - 2)
-        pair = {j % 2: np.empty((2, largest[j])) for j in (top - 1, top) if j >= 2}
-        self._frontiers = [pair.get(j % 2) if j <= top else np.empty((2, largest[j])) for j in range(n - 1)]
-        self._parents, self.masses, self.reached = np.empty((2, 0)), np.empty(0), np.empty(0, bool)
+        # the depths down to the first split level, top, alternate between
+        # two frontiers; the cap keeps the leaves' parents unstored
+        top = min(next((j for j in range(2, n) if s ** j > _ENUM_CHUNK), n), n - 2)
+        pair = [np.empty((2, max(largest[p:top + 1:2], default=0))) for p in (0, 1)]
+        self._frontiers = [pair[j % 2] if j <= top else np.empty((2, largest[j])) for j in range(n - 1)]
+        width, grand = _block_sizes(s)
+        self.parents = np.empty((2, grand * s))
+        self.masses, self.reached = np.empty(_SUM_NODE + width * s), np.empty(width * s, bool)
 
     def frontier(self, depth: int, size: int) -> tuple:
-        """Room for the probabilities and partial sums of a frontier of
-        size nodes at depth (at most n - 2)."""
+        """Room for the probabilities and partial sums of a piece of size
+        nodes at depth (at most n - 2)."""
         buf = self._frontiers[depth] = _grown(self._frontiers[depth], size)
         return buf[0, :size], buf[1, :size]
-
-    def parents(self, size: int) -> tuple:
-        """Room for the probabilities and partial sums of a block of size
-        leaves' parents."""
-        self._parents = _grown(self._parents, size)
-        return self._parents[0, :size], self._parents[1, :size]
-
-    def leaves(self, masses: int, reached: int) -> None:
-        """Grows the leaf masses and the reached mask to at least the given
-        sizes."""
-        self.masses, self.reached = _grown(self.masses, masses), _grown(self.reached, reached)
 
 
 def _factors(cyc: np.ndarray, y: int, last, m: int) -> np.ndarray:
@@ -353,15 +346,16 @@ def _factors(cyc: np.ndarray, y: int, last, m: int) -> np.ndarray:
 
 
 def _expand(cyc: np.ndarray, step: np.ndarray, probs, sums, last, out=None, positive=False):
-    """One level of the path tree: each node's children in state order.
+    """One level of the path tree below m nodes (a block of a frontier, the
+    start, or a pruned bracket's frontier): their children in state order.
 
-    last is either an int phase p, for a frontier whose last states cycle
-    p, p + 1, ... modulo s, or an index array of last states (at the start,
+    last is either an int phase p, for nodes whose last states cycle p,
+    p + 1, ... modulo s, or an index array of last states (at the start,
     and once children were dropped).  Child column y is one multiply of the
-    whole frontier by cyc[y, p:p + m] (or by cyc[y, last]) and one add of
+    m nodes by cyc[y, p:p + m] (or by cyc[y, last]) and one add of
     step[y], written with stride s into the (m, s) views of out, a pair of
     flat arrays of m * s entries (new ones when out is None), so numpy's
-    inner loops run over the frontier, not over s states, and every child
+    inner loops run over the nodes, not over s states, and every child
     is the float probs[i] * P[x_i, y] and sums[i] + step[y] in the order
     i * s + y.  Zero-probability children (structural zeros, underflow)
     are dropped into new arrays; the children of a level that drops none
@@ -424,8 +418,9 @@ def _least_addend(b: float, t: float) -> float:
 
 
 def _block_sizes(s: int) -> tuple:
-    """The leaves' parents per chunk and their grandparents per block, each
-    about _LEAF_BLOCK leaves, and at least one node."""
+    """The nodes per chunk of a level, about _LEAF_BLOCK leaves below a
+    chunk of the leaves' parents, and the frontier nodes per block, whose
+    children fill about one chunk; each at least one node."""
     width = max(1, _LEAF_BLOCK // s)
     return width, max(1, width // s)
 
@@ -447,22 +442,22 @@ def _pairwise_sum(take, k: int):
 
 
 def _parent_block(buffers: _Buffers, step: np.ndarray, probs, sums, last, g: int) -> tuple:
-    """The children (_expand) of the block of grandparents from node g of a
-    frontier at depth n - 2, written into the buffers' parent block."""
+    """The children (_expand) of the block of _block_sizes(s)[1] nodes from
+    node g of a frontier, written into the buffers' parent block."""
     s = step.size
     stop = g + _block_sizes(s)[1]
     head = (last + g) % s if isinstance(last, int) else last[g:stop]
     block = probs[g:stop]
-    return _expand(buffers.cyc, step, block, sums[g:stop], head, buffers.parents(block.size * s), buffers.positive)
+    return _expand(buffers.cyc, step, block, sums[g:stop], head, buffers.parents[:, :block.size * s], buffers.positive)
 
 
 def _parent_chunks(buffers: _Buffers, step: np.ndarray, probs, sums, last, prefix: list, lo: int, hi: int):
-    """The leaves' parents lo..hi-1, the children of a frontier at depth
-    n - 2 in _expand's order with zero ones dropped, as consecutive
-    (probs, sums, last) chunks of at most _block_sizes(s)[0] nodes.
+    """The nodes lo..hi-1 of the level below a frontier, its children in
+    _expand's order with zero ones dropped, as consecutive (probs, sums,
+    last) chunks of at most _block_sizes(s)[0] nodes.
 
-    Block b of the frontier has prefix[b] parents before it, and is expanded
-    when the chunks reach it.
+    Block b of the frontier has prefix[b] children before it, and is
+    expanded when the chunks reach it.
     """
     s = step.size
     width, grand = _block_sizes(s)
@@ -544,55 +539,15 @@ def _reached_leaves(sums, composed: list, lo: int, hi: int) -> int:
     return count
 
 
-def _leaf_mass(buffers: _Buffers, steps: np.ndarray, probs, sums, last, threshold: float) -> float:
-    """Mass of the leaves two levels below a frontier at depth n - 2 whose
-    partial sums reach the threshold, bit for bit the sum of an enumeration
-    that stores both levels; steps holds the two steps' rows.
-
-    The leaves' parents, the frontier's children in _expand's order, are
-    never stored whole: the chunk tree splits them as it splits a stored
-    frontier, into pieces lo..hi-1 joined by left + right, and each block of
-    them is expanded when a piece reaches it.  A leaf (i, y) reaches the
-    threshold exactly when its parent's sum is at least cut[y], the least
-    float whose sum with the leaves' step does (_least_addend).  A piece's
-    mass is numpy's pairwise sum of its reached nonzero masses in the order
-    i * s + y, rebuilt from their number k (_pairwise_sum) and fed one leaf
-    block at a time (_leaf_block).  On a frontier with no zero child, k
-    comes from the frontier's own sums through composed cut-offs
-    (_reached_leaves), and the parents' positions from the block sizes;
-    otherwise the positions come from per-block counts of nonzero children,
-    and k from the leaf blocks.  An empty frontier, whose parents' children
-    were all dropped, has mass 0.0.
-    """
-    step, leaf_step = steps
-    s, m = step.size, probs.size
-    if not m:
-        return 0.0
-    cut = [_least_addend(b, threshold) for b in leaf_step.tolist()]
-    width, grand = _block_sizes(s)
-    blocks = range(0, m, grand)
-    if buffers.positive:
-        composed = [sorted(_least_addend(b, c) for c in cut) for b in step.tolist()]
-        prefix = list(accumulate((min(grand, m - g) * s for g in blocks), initial=0))
-    else:
-        prefix = list(accumulate((_parent_block(buffers, step, probs, sums, last, g)[0].size for g in blocks), initial=0))
-
-    def chunks(lo, hi):
-        return _parent_chunks(buffers, step, probs, sums, last, prefix, lo, hi)
-
-    def piece(lo, hi):
-        if (hi - lo) * s > _ENUM_CHUNK and hi - lo > 1:
-            half = (hi - lo) // 2
-            return piece(lo, lo + half) + piece(lo + half, hi)
-        block = min(width, hi - lo) * s
-        buffers.leaves(min((hi - lo) * s, _SUM_NODE) + block, block)
-        if buffers.positive:
-            k = _reached_leaves(sums, composed, lo, hi)
-        else:
-            k = sum(_leaf_block(buffers, cut, *chunk, 0) for chunk in chunks(lo, hi))
-        return _piece_sum(buffers, cut, chunks(lo, hi), k) if k else 0.0
-
-    return piece(0, prefix[-1])
+def _halved(mass, s: int, lo: int, hi: int) -> float:
+    """mass(lo, hi) over the chunk tree's pieces of the nodes lo..hi-1 of a
+    level, joined by left + right: a range is halved while its expansion
+    would exceed the chunk size.  mass does not refer to itself, so no
+    reference cycle keeps a walk's frontier or buffers alive after it."""
+    if (hi - lo) * s > _ENUM_CHUNK and hi - lo > 1:
+        half = (hi - lo) // 2
+        return _halved(mass, s, lo, lo + half) + _halved(mass, s, lo + half, hi)
+    return mass(lo, hi)
 
 
 def _start(steps: np.ndarray, x: int) -> tuple:
@@ -602,30 +557,72 @@ def _start(steps: np.ndarray, x: int) -> tuple:
 
 def _enumerate_mass(buffers: _Buffers, steps, j, probs, sums, last, threshold):
     """Mass of the length-n paths (n = len(steps)) whose weighted r-sum
-    reaches the threshold, from a frontier at depth j.
+    reaches the threshold, from a frontier at depth j, bit for bit the sum
+    of an enumeration that stores every level whole.
 
-    Expands level by level into the call's buffers down to depth n - 2, the
-    leaves' grandparents, whose frontier _leaf_mass takes; splits the
-    frontier in half whenever the next expansion would exceed the chunk
-    size, so memory stays bounded while the fixed index order keeps the
-    accumulated sum deterministic.  The second half of a frontier at phase
-    p cycles from (p + half) % s.  A horizon below 3 has no such depth: its
-    leaves are expanded whole and their reached masses summed.
+    The level below the frontier, its children in _expand's order with
+    zero ones dropped, is never stored whole: _halved splits it into the
+    chunk tree's pieces lo..hi-1, so memory stays bounded while the fixed
+    order keeps the sum deterministic; a level that fits is one piece.
+    Each block of the frontier is expanded when a
+    piece reaches it (_parent_chunks); block b has prefix[b] children
+    before it, counted from the block sizes on a kernel with no zero child
+    and by expanding each block otherwise.  A piece above the leaves'
+    parents is generated into the buffers' frontier at depth j + 1 and
+    walked in turn: its last states cycle from its first chunk's phase, or
+    form an index array once children were dropped.
+
+    A piece of the leaves' parents is never stored: a leaf (i, y) reaches
+    the threshold exactly when its parent's sum is at least cut[y], the
+    least float whose sum with the leaves' step does (_least_addend).  Its
+    mass is numpy's pairwise sum of its reached nonzero masses in the order
+    i * s + y, rebuilt from their number k (_pairwise_sum) and fed one leaf
+    block at a time (_leaf_block).  On a kernel with no zero child, k comes
+    from the frontier's own sums through composed cut-offs
+    (_reached_leaves); otherwise from the leaf blocks.  An empty level, a
+    piece's children all dropped, has mass 0.0.  A horizon below 3 has no
+    leaves' parents to walk: its leaves are expanded whole and summed.
     """
-    s, n = buffers.cyc.shape[0], len(steps)
-    while j < n:
-        if probs.size * s > _ENUM_CHUNK and probs.size > 1:
-            half = probs.size // 2
-            heads = (last, (last + half) % s) if isinstance(last, int) else (last[:half], last[half:])
-            return _enumerate_mass(buffers, steps, j, probs[:half], sums[:half], heads[0], threshold) + \
-                _enumerate_mass(buffers, steps, j, probs[half:], sums[half:], heads[1], threshold)
+    s, n = steps.shape[1], len(steps)
+    if j >= n - 1:
+        if j < n:
+            probs, sums, _ = _expand(buffers.cyc, steps[j], probs, sums, last)
+        return float(probs[sums >= threshold].sum())
+    step, m = steps[j], probs.size
+    grand = _block_sizes(s)[1]
+    blocks = range(0, m, grand)
+    if buffers.positive:
+        prefix = list(accumulate((min(grand, m - g) * s for g in blocks), initial=0))
+    else:
+        prefix = list(accumulate((_parent_block(buffers, step, probs, sums, last, g)[0].size for g in blocks), initial=0))
+    if j == n - 2:
+        cut = [_least_addend(b, threshold) for b in steps[j + 1].tolist()]
+        composed = [sorted(_least_addend(b, c) for c in cut) for b in step.tolist()] if buffers.positive else None
+
+    def chunks(lo, hi):
+        return _parent_chunks(buffers, step, probs, sums, last, prefix, lo, hi)
+
+    def piece(lo, hi):
         if j == n - 2:
-            return _leaf_mass(buffers, steps[j:], probs, sums, last, threshold)
-        # the leaves of a horizon below 3 are new arrays
-        out = buffers.frontier(j + 1, probs.size * s) if j < n - 2 else None
-        probs, sums, last = _expand(buffers.cyc, steps[j], probs, sums, last, out, buffers.positive)
-        j += 1
-    return float(probs[sums >= threshold].sum())
+            if buffers.positive:
+                k = _reached_leaves(sums, composed, lo, hi)
+            else:
+                k = sum(_leaf_block(buffers, cut, *chunk, 0) for chunk in chunks(lo, hi))
+            return _piece_sum(buffers, cut, chunks(lo, hi), k) if k else 0.0
+        kids, kid_sums = buffers.frontier(j + 1, hi - lo)
+        heads, at = [], 0
+        for chunk_probs, chunk_sums, head in chunks(lo, hi):
+            c = chunk_probs.size
+            kids[at:at + c], kid_sums[at:at + c] = chunk_probs, chunk_sums
+            heads.append((head, c))
+            at += c
+        if all(isinstance(head, int) for head, _ in heads):
+            kid_last = heads[0][0] if heads else 0
+        else:
+            kid_last = np.concatenate([(h + np.arange(c)) % s if isinstance(h, int) else h for h, c in heads])
+        return _enumerate_mass(buffers, steps, j + 1, kids, kid_sums, kid_last, threshold)
+
+    return _halved(piece, s, 0, prefix[-1])
 
 
 def _pruned_brackets(P, steps, x, threshold):

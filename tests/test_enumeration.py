@@ -8,8 +8,10 @@ event probability must match it bit for bit (==, not approx).  The
 communicating classes of the Perron bracket are checked the same way
 against the full squaring."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -290,21 +292,90 @@ def test_a_piece_whose_children_all_underflow_matches(monkeypatch, chunk):
     # 2^-537 squared is the least subnormal, and every entry of row 0 is
     # below 1/2, so every child of the path 0, 0, 0 rounds to zero; a chunk
     # below 2 s makes that node a piece of its own, so the level below it is
-    # empty: at n = 5 the leaves' parents, and at n = 6 the frontier of the
-    # leaves' grandparents that the leaf level receives
+    # empty: at n = 5 the leaves' parents, and at n = 6 the piece of the
+    # leaves' grandparents from which the leaf level is walked
     sizes = []
-    inner = ldp._leaf_mass
+    inner = ldp._enumerate_mass
 
-    def recording(buffers, step, probs, *rest):
-        sizes.append(probs.size)
-        return inner(buffers, step, probs, *rest)
+    def recording(buffers, steps, j, probs, *rest):
+        if j == len(steps) - 2:
+            sizes.append(probs.size)
+        return inner(buffers, steps, j, probs, *rest)
 
-    monkeypatch.setattr(ldp, "_leaf_mass", recording)
+    monkeypatch.setattr(ldp, "_enumerate_mass", recording)
     monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
     P = np.array([[2.0 ** -537, 0.3, 0.3, 0.4], [0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
     assert (P[0] < 0.5).all()
     assert_rows_match(P, np.array([2.0, 1.0, 1.5, 1.2]), 0.02, UnitSchedule(), 0, [4, 5, 6], chunk)
     assert 0 in sizes
+
+
+def recording_walk(monkeypatch) -> list:
+    """Patches _enumerate_mass to record (j, n, size, last) of every
+    frontier it walks: the start, and each generated piece."""
+    walked = []
+    inner = ldp._enumerate_mass
+
+    def recording(buffers, steps, j, probs, sums, last, threshold):
+        walked.append((j, len(steps), probs.size, last))
+        return inner(buffers, steps, j, probs, sums, last, threshold)
+
+    monkeypatch.setattr(ldp, "_enumerate_mass", recording)
+    return walked
+
+
+@pytest.mark.parametrize("chunk", [3, 5, 16, 50])
+@pytest.mark.parametrize(
+    "zeros, tiny", [(False, False), (True, False), (False, True)], ids=["positive", "zero-entries", "underflow"]
+)
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_levels_generated_in_pieces_match_the_reference(monkeypatch, s, zeros, tiny, chunk):
+    # blocks of one node and chunks of one or two, so a stored piece spans
+    # many table widths; the small chunk splits several successive levels
+    # into pieces, which start inside one parent's children where the
+    # halving of a level cuts a node's children apart
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    monkeypatch.setattr(ldp, "_LEAF_BLOCK", 4)
+    walked = recording_walk(monkeypatch)
+    rng = np.random.default_rng([s, zeros, tiny, chunk])
+    P = kernel_with(rng, s, zeros, tiny)
+    f = 1.0 + 2.0 * rng.random(s)
+    top = MAX_HORIZON[s]
+    assert_rows_match(P, f, 0.01, HyperbolicSchedule(1.0, 1.0), 0, [3, top - 1, top], chunk)
+    if not (zeros or tiny):
+        # no child is dropped, so a piece below its level's s^(j - 1) nodes
+        # is one of several, and a phase other than 0 starts mid-parent
+        assert len({j for j, _, size, _ in walked if size < s ** (j - 1)}) >= 2
+        straddled = any(j >= 2 and last for j, _, _, last in walked)
+        assert straddled == (s == 3 or chunk < 2 * s)
+
+
+@pytest.mark.parametrize("chunk", [3, 5])
+def test_an_empty_piece_above_the_leaves_matches(monkeypatch, chunk):
+    # the kernel of test_a_piece_whose_children_all_underflow_matches: the
+    # children of path 0, 0, 0 form an empty piece at depth 4, walked down
+    # to the leaves' grandparents at depth 5
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    monkeypatch.setattr(ldp, "_LEAF_BLOCK", 4)
+    walked = recording_walk(monkeypatch)
+    P = np.array([[2.0 ** -537, 0.3, 0.3, 0.4], [0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]])
+    assert_rows_match(P, np.array([2.0, 1.0, 1.5, 1.2]), 0.02, UnitSchedule(), 0, [7], chunk)
+    assert {j for j, _, size, _ in walked if size == 0} == {4, 5}
+
+
+@pytest.mark.parametrize("chunk", [ldp._ENUM_CHUNK, 1 << 18], ids=["default", "split"])
+@pytest.mark.parametrize("tiny", [False, True], ids=["positive", "underflow"])
+def test_two_states_at_the_largest_horizon_match(monkeypatch, tiny, chunk):
+    # s = 2 at n = 22, the guard's largest shape: blocks of 2^10 leaves, so
+    # a stored piece of up to 2^19 nodes spans about a thousand table widths;
+    # at 2^18 every level from depth 19 down is generated in pieces
+    monkeypatch.setattr(ldp, "_ENUM_CHUNK", chunk)
+    monkeypatch.setattr(ldp, "_LEAF_BLOCK", 1 << 10)
+    P = ldp._require_ergodic(kernel_with(np.random.default_rng(22), 2, False, tiny))
+    f, schedule = np.array([2.0, 1.0]), HyperbolicSchedule(1.0, 1.0)
+    for x in range(2):
+        assert exact_event_probability(P, schedule, 0, 22, f, 0.02, x) == \
+            reference_event_probability(P, schedule, 0, 22, f, 0.02, x, chunk)
 
 
 @pytest.mark.parametrize("chunk", [ldp._ENUM_CHUNK, 5, 16, 50])
@@ -346,28 +417,96 @@ def test_event_probabilities_of_successive_calls_match(monkeypatch, tiny):
                 reference_event_probability(P, schedule, 0, n, f, 0.01, x, 50)
 
 
-def test_deviation_audit_peak_memory():
-    # the deviation benchmark's first model at workload seed 7 (model seed
-    # SeedSequence([7, 3])): the audit keeps the cyclic table, two
-    # alternating frontiers above the first split and one frontier per split
-    # depth down to the leaves' grandparents, and block scratch for the last
-    # two levels, about 3.15 chunks of floats; storing the leaves' parents
-    # and the leaf level's masses and mask took 5.2, a column of leaf partial
-    # sums 5.5, allocating each level afresh 6.33, and a buffer for every
-    # depth would take about 7.7
-    seed = int(np.random.SeedSequence([7, 3]).generate_state(1)[0])
-    model = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": seed})
-    P = model.policy_kernel(StationaryPolicy([0, 0, 0]))
+def deviation_kernel(seed, copy=0):
+    """The kernel that the deviation benchmark's model copy audits at a
+    workload seed (model seed SeedSequence([seed, 3] + [copy if nonzero]))."""
+    entropy = [seed, 3] + ([copy] if copy else [])
+    model_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    model = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": model_seed})
+    return model.policy_kernel(StationaryPolicy([0, 0, 0]))
+
+
+def deviation_rows(P):
+    return rows_of(P, np.array([2.0, 1.0, 1.0]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [8, 10, 12, 14, 16])
+
+
+def peak_chunks(call) -> float:
+    """The tracemalloc peak of call() in chunks of floats."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
-        rows_of(P, np.array([2.0, 1.0, 1.0]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [8, 10, 12, 14, 16])
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 4.1 * ldp._ENUM_CHUNK * 8
+    return peak / (ldp._ENUM_CHUNK * 8)
+
+
+def test_deviation_audit_peak_memory():
+    # the deviation benchmark's first model at workload seed 7: at n = 16 the
+    # audit keeps the depth-13 level (3^12 nodes) and one depth-14 piece
+    # (a quarter of 3^13 nodes), the two frontiers that the depths alternate
+    # between, a block-wide cyclic table and block scratch, about 1.04
+    # chunks of floats; storing the depth-14 level whole and a cyclic table
+    # as wide as a chunk took 3.15, storing the last two levels 5.2, and a
+    # buffer for every depth would take about 7.7
+    P = deviation_kernel(7)
+    assert peak_chunks(lambda: deviation_rows(P)) <= 1.97
+
+
+@pytest.mark.parametrize("s, n, pin", [(2, 22, 1.84), (5, 12, 1.65)])
+def test_guard_shape_peak_memory(s, n, pin):
+    # one event probability at the guard's largest shapes reads 0.91 and
+    # 0.72 chunks: no table or level as wide as a chunk is kept (storing
+    # the first split level whole and a chunk-wide table read 1.86 and 3.32)
+    P = random_kernel(np.random.default_rng([s, n]), s, False)
+    f = 1.0 + np.arange(s) / s
+    assert peak_chunks(lambda: exact_event_probability(P, HyperbolicSchedule(1.0, 1.0), 0, n, f, 0.02, 0)) <= pin
+
+
+def test_calls_free_their_buffers_without_the_cycle_collector(monkeypatch):
+    # a walk whose closure referred to itself kept each call's buffers alive
+    # until the next collection, so the three audits of a deviation round
+    # held three sets at once
+    made = []
+
+    class Recorded(ldp._Buffers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ldp, "_Buffers", Recorded)
+    P = deviation_kernel(7)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        deviation_rows(P)
+        exact_event_probability(P, HyperbolicSchedule(1.0, 1.0), 0, 12, np.array([2.0, 1.0, 1.0]), 0.02, 0)
+        assert len(made) == 2 and all(ref() is None for ref in made)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_deviation_audits_replace_no_frontier_buffer(monkeypatch, seed):
+    # every frontier buffer is sized for the largest piece at its depth, so
+    # the audits of a positive kernel never outgrow one
+    sizes, replaced = [], []
+    inner = ldp._grown
+
+    def counting(buf, size):
+        sizes.append(size)
+        if buf.shape[-1] < size:
+            replaced.append((buf.shape, size))
+        return inner(buf, size)
+
+    monkeypatch.setattr(ldp, "_grown", counting)
+    for copy in range(3):
+        deviation_rows(deviation_kernel(seed, copy))
+    assert sizes and not replaced
 
 
 # ------------------------------------------------ leaf cut-offs
@@ -492,10 +631,10 @@ def test_leaf_mass_matches_the_add_and_compare_reference(monkeypatch, s, zeros, 
     rng = np.random.default_rng([s, zeros, tiny, chunk])
     P = ldp._require_ergodic(kernel_with(rng, s, zeros, tiny))
     buffers = ldp._Buffers(P, [MAX_HORIZON[s]])
-    # the leaves' parents, s per grandparent, read the cyclic table too
-    width = max(1, (buffers.cyc.shape[1] - s) // s)
     for trial in range(40):
-        m = int(rng.integers(1, min(width, 300) + 1))
+        # a small chunk splits the parents into pieces of a node or two,
+        # each of which expands its whole block again
+        m = int(rng.integers(1, min(chunk, 300) + 1))
         probs = rng.random(m) * (1e-300 if tiny and trial % 4 == 0 else 1.0)
         sums = rng.normal(size=m) * 10.0 ** rng.integers(-3, 4)
         steps = rng.normal(size=(2, s))
@@ -506,7 +645,7 @@ def test_leaf_mass_matches_the_add_and_compare_reference(monkeypatch, s, zeros, 
                       float(rng.choice(leaves)), math.nextafter(float(rng.choice(leaves)), math.inf)]
         for threshold in thresholds:
             want = reference_last_levels(buffers, steps, probs, sums, last, threshold, chunk)
-            assert ldp._leaf_mass(buffers, steps, probs, sums, last, threshold) == want
+            assert ldp._enumerate_mass(buffers, steps, 0, probs, sums, last, threshold) == want
     if zeros or tiny:
         assert not buffers.positive
 
