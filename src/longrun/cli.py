@@ -272,18 +272,17 @@ def _task_evaluate(cfg: ExperimentConfig) -> int:
     w_max = float(sol.w.max())
     rows = []
     lines = ["task: evaluate", f"lambda: {_fmt(sol.lam)}", f"policy: {list(sol.policy.actions)}"]
-    for n in horizons:
-        res = evaluator.exact_discounted_value(mdl, sol.policy, schedule, cfg.k, n, cfg.x)
+    for res, _ in evaluator._discounted(mdl, [sol.policy], schedule, cfg.k, horizons, [cfg.x]):
         # certified distance to the long-run gain for the solved policy
         gap_bound = 2.0 * w_max / res.normalizer
-        rows.append((n, res.value, gap_bound))
-        lines.append(f"J[{n}]: {_fmt(res.value)} (gap_bound {_fmt(gap_bound)})")
+        rows.append((res.horizon, res.value, gap_bound))
+        lines.append(f"J[{res.horizon}]: {_fmt(res.value)} (gap_bound {_fmt(gap_bound)})")
     n = horizons[-1]
     if cfg.gamma:
-        up = evaluator.exact_risk_value(mdl, sol.policy, schedule, abs(cfg.gamma), cfg.k, n, cfg.x)
-        dn = evaluator.exact_risk_value(mdl, sol.policy, schedule, -abs(cfg.gamma), cfg.k, n, cfg.x)
-        lines.append(f"risk_value[+gamma]: {_fmt(up.value)}")
-        lines.append(f"risk_value[-gamma]: {_fmt(dn.value)}")
+        g = abs(cfg.gamma)
+        risk = evaluator._risk(mdl, [sol.policy] * 2, schedule, [g, -g], cfg.k, n, [cfg.x] * 2)
+        for sign, (res, _) in zip("+-", risk):
+            lines.append(f"risk_value[{sign}gamma]: {_fmt(res.value)}")
     if cfg.reps:
         sim = evaluator.simulate(
             mdl, sol.policy, schedule, cfg.k, n, cfg.x, seed=cfg.seed, reps=cfg.reps,

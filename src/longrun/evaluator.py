@@ -3,17 +3,18 @@ functionals, seeded Monte-Carlo estimation, and the inequality checks that
 tie finite-horizon values to the solved long-run gains.
 
 Every policy is read through model._policy_actions as one (n, n_states)
-action table over the evaluated window, and both exact expectations come
-from one forward recursion of the state distribution, tilted by
-exp(gamma * phi * c) per step for the risk functional and untilted for the
-discounted one, costing O(n * n_states^2); nothing in this module
-enumerates paths.
+action table over the evaluated window, and every exact value, of one policy
+or of a batch, comes from one forward recursion of the state distributions,
+tilted by exp(gamma * phi * c) per step for the risk functional and untilted
+for the discounted one, costing O(n * n_states^2) per member; nothing in
+this module enumerates paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .risk_solver import risk_relative_value_iteration
 CHECK_SLACK = 1e-12
 # unit roundoff of float64
 _U = 2.0 ** -53
-# at most this many draws, and states times replicates, per simulated block
+# at most this many draws, states times replicates, or floats of z per block
 _SIM_BLOCK = 1 << 20
 # at most this many action-table entries (size x slices x states) per policy
 # panel, the path enumeration's budget: 1 GB of int64 actions
@@ -64,19 +65,21 @@ class SimulationResult:
     normalizer: float
 
 
-def _window(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, x: int, gamma: float = 0.0):
-    """phi weights, their partial sum, and the (n, n_states) action and reward
-    tables of a policy over the time window [k, k + n), checked against the
-    model, against the start state x and against a gamma whose tilted
-    partial reward overflows."""
+def _window(model: Model, policies: list, schedule: DiscountSchedule, k: int, n: int, x, gamma):
+    """phi over [k, k + n), its sum, and per block of members (one at least,
+    at most _SIM_BLOCK floats of a pass or of a step's kernel rows) its first
+    member, checked actions, rewards c, tilts gamma[b] phi c and starts x[b]."""
     phi = schedule.phi_array(k, n)
     norm = schedule.partial_sum(k, n)
-    actions = _policy_actions(model, policy, k, n)
-    c = model.reward[np.arange(model.n_states), actions]
-    if not math.isfinite(abs(gamma) * norm * float(np.abs(c).max())):
-        raise GammaNotAllowed(f"|gamma| = {abs(gamma)} times the window's reward mass exceeds the float range")
-    _indices(x, model.n_states, "start state")
-    return phi, norm, actions, c
+    width = max(1, _SIM_BLOCK // (max(n, model.n_states) * model.n_states))
+    for lo in range(0, len(policies), width):
+        actions = np.stack([_policy_actions(model, policy, k, n) for policy in policies[lo:lo + width]])
+        c = model.reward[np.arange(model.n_states), actions]
+        g = gamma[lo:lo + width]
+        if not all(math.isfinite(abs(v) * norm * m) for v, m in zip(g, np.abs(c).max(axis=(1, 2)).tolist())):
+            raise GammaNotAllowed(f"|gamma| = {max(map(abs, g))} times the window's reward mass overflows")
+        starts = _indices(x[lo:lo + width], model.n_states, "start state", 1)
+        yield phi, norm, lo, actions, c, np.array(g)[:, None, None] * phi[:, None] * c, starts
 
 
 def _count(value, what: str, least: int) -> int:
@@ -86,41 +89,37 @@ def _count(value, what: str, least: int) -> int:
     return int(value)
 
 
-def _forward(model: Model, actions: np.ndarray, x: int, tilt: np.ndarray):
-    """Scaled forward recursion of the tilted state distribution from X_0 = x.
+def _forward(model: Model, actions: np.ndarray, x: np.ndarray, tilt: np.ndarray):
+    """Scaled forward recursion of the tilted state distributions of a batch.
 
-    Returns (z, log_scale) with ln(z[j, y]) + log_scale[j] equal to
-    ln E[exp(sum_{i<=j} tilt[i, X_i]) ; X_j = y], the step-j mass once its
-    tilt is applied.  Each step shifts by the maximum of ln z + tilt[j], so
-    the largest entry of every row is 1 whatever the size of the tilt:
-    nothing overflows, and an entry underflows only when it is below about
-    1e-308 of the largest.
+    Returns (z, log_scale) with ln(z[b, j, y]) + log_scale[b, j] equal to
+    ln E[exp(sum_{i<=j} tilt[b, i, X_i]) ; X_j = y | X_0 = x[b]], the step-j
+    mass once its tilt is applied, bit for bit as member b's pass alone.
+    Each step shifts a member by the maximum of its ln z + tilt, so the
+    largest entry of every row is 1 whatever the tilt: nothing overflows,
+    and an entry underflows only below about 1e-308 of the largest.
     """
-    n, s = actions.shape
+    B, n, s = actions.shape
     states = np.arange(s)
-    z = np.empty((n, s))
-    log_scale = np.empty(n)
-    mass = np.zeros(s)
-    mass[x] = 1.0
-    shift = 0.0
+    z = np.empty((B, n, s))
+    shift = np.empty((B, n))
+    mass = np.eye(s)[x, None]
     with np.errstate(divide="ignore"):
         for j in range(n):
-            e = np.log(mass) + tilt[j]
-            top = e.max()
-            shift += top
-            z[j] = np.exp(e - top)
-            log_scale[j] = shift
+            e = np.log(mass[:, 0]) + tilt[:, j]
+            shift[:, j] = e.max(axis=1)
+            z[:, j] = np.exp(e - shift[:, j, None])
             if j < n - 1:
-                mass = z[j] @ model.kernel[actions[j], states]
-    return z, log_scale
+                mass = np.matmul(z[:, j, None], model.kernel[actions[:, j], states])
+    return z, np.cumsum(shift, axis=1)
 
 
 def _forward_rounding(model: Model, z: np.ndarray, log_scale: np.ndarray, tilt_max, scale: float) -> tuple:
-    """(H / scale, delta): H bounds |ln(z[j, y] e^log_scale[j]) - ln v_j(y)|
-    at every step j and state y with z[j, y] > 0, where v_j is the mass
-    that _forward computes in exact arithmetic, and delta bounds how far a
-    kernel row's sum is from 1.  tilt_max is max_y |t(y)| per step (0.0
-    for no tilt).
+    """(H / scale, delta) for one member's rows of _forward: H bounds
+    |ln(z[j, y] e^log_scale[j]) - ln v_j(y)| at every step j and state y with
+    z[j, y] > 0, where v_j is the mass that _forward computes in exact
+    arithmetic, and delta bounds how far a kernel row's sum is from 1.
+    tilt_max is max_y |t(y)| per step (0.0 for no tilt).
 
     Derivation.  Take each float operation as exact times (1 + theta) with
     |theta| <= u = 2^-53, and numpy's exp and log as exact within two ulps
@@ -167,14 +166,15 @@ def exact_discounted_value(
     Computes sum_{i=k}^{n+k-1} phi(i) E[c(X_{i-k}, a_{i-k})] divided by the
     phi partial sum, by forward propagation of the state distribution.
     """
-    return _discounted(model, policy, schedule, k, n, x)[0]
+    return next(_discounted(model, [policy], schedule, k, [n], [x]))[0]
 
 
-def _discounted(model: Model, policy, schedule: DiscountSchedule, k: int, n: int, x: int) -> tuple:
-    """exact_discounted_value's result and its rounding bound: a function of
-    no arguments, called only by the checks that compare values, bounding
-    the distance between the value and the same functional in exact
-    arithmetic on the same model, weights and normalizer.
+def _discounted(model: Model, policies: list, schedule: DiscountSchedule, k: int, horizons: list, x):
+    """exact_discounted_value's results, member b policies[b] from x[b], per
+    member and horizon from one pass of max(horizons), each with its rounding
+    bound: a function of no arguments, called only by the checks that compare
+    values, bounding the distance between the value and the same functional
+    in exact arithmetic on the same model, weights and normalizer.
 
     The bound: with C = max |c| over the window and (H, delta) from
     _forward_rounding, exp(log_scale[j]) z[j] is within a factor e^(H + 4.04u)
@@ -184,17 +184,21 @@ def _discounted(model: Model, policy, schedule: DiscountSchedule, k: int, n: int
     the division u |value|.  While H and n delta stay below 0.01 that gives
     C (1.05 (H + (n - 1) delta) + (2 s + 2 n + 6) u) + u |value|.
     """
-    phi, norm, actions, c = _window(model, policy, schedule, k, n, x)
-    z, log_scale = _forward(model, actions, x, np.zeros(actions.shape))
-    total = float(phi @ (np.exp(log_scale) * (z * c).sum(axis=1)))
-    value = total / norm
+    norms = [schedule.partial_sum(k, n) for n in horizons]
+    for phi, _, _, actions, c, tilt, starts in _window(model, policies, schedule, k, max(horizons), x, [0.0] * len(x)):
+        z, log_scale = _forward(model, actions, starts, tilt)
+        terms = np.exp(log_scale) * (z * c).sum(axis=2)
+        for b, start in enumerate(starts.tolist()):
+            for n, norm in zip(horizons, norms):
+                value = float(phi[:n] @ terms[b, :n]) / norm
+                rounding = partial(_discounted_rounding, model, z[b, :n], log_scale[b, :n], c[b, :n], value)
+                yield EvaluationResult(value=value, horizon=n, start_k=k, start_x=start, normalizer=norm), rounding
 
-    def rounding() -> float:
-        H, delta = _forward_rounding(model, z, log_scale, 0.0, 1.0)
-        s = model.n_states
-        return float(np.abs(c).max()) * (1.05 * (H + (n - 1) * delta) + (2 * s + 2 * n + 6) * _U) + _U * abs(value)
 
-    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm), rounding
+def _discounted_rounding(model: Model, z: np.ndarray, log_scale: np.ndarray, c: np.ndarray, value: float) -> float:
+    H, delta = _forward_rounding(model, z, log_scale, 0.0, 1.0)
+    s, n = model.n_states, len(z)
+    return float(np.abs(c).max()) * (1.05 * (H + (n - 1) * delta) + (2 * s + 2 * n + 6) * _U) + _U * abs(value)
 
 
 def exact_risk_value(
@@ -215,12 +219,12 @@ def exact_risk_value(
     finite float, since the recursion keeps its scale in a running log
     normaliser; a larger |gamma| raises GammaNotAllowed.
     """
-    return _risk(model, policy, schedule, gamma, k, n, x)[0]
+    return next(_risk(model, [policy], schedule, [gamma], k, n, [x]))[0]
 
 
-def _risk(model: Model, policy, schedule: DiscountSchedule, gamma: float, k: int, n: int, x: int) -> tuple:
-    """exact_risk_value's result and its rounding bound, a function of no
-    arguments as in _discounted.
+def _risk(model: Model, policies: list, schedule: DiscountSchedule, gamma: list, k: int, n: int, x):
+    """exact_risk_value's results, member b policies[b] from x[b] with the
+    factor gamma[b], each with its rounding bound as in _discounted.
 
     The bound: the total T = log_scale[-1] + ln sum_y z[-1, y] is within H
     of its exact value on the kernel as given (_forward_rounding), and that
@@ -232,21 +236,20 @@ def _risk(model: Model, policy, schedule: DiscountSchedule, gamma: float, k: int
     + 3 u |value|.  It grows like 1 / |gamma|, as the rounding of T does not
     shrink with gamma.
     """
-    gamma = _risk_factor(gamma)
-    phi, norm, actions, c = _window(model, policy, schedule, k, n, x, gamma)
-    tilt = gamma * phi[:, None] * c
-    z, log_scale = _forward(model, actions, x, tilt)
-    total = log_scale[-1] + math.log(z[-1].sum())
-    value = total / (gamma * norm)
+    gamma = [_risk_factor(g) for g in gamma]
+    for _, norm, lo, actions, _, tilt, starts in _window(model, policies, schedule, k, n, x, gamma):
+        z, log_scale = _forward(model, actions, starts, tilt)
+        for b, (start, g) in enumerate(zip(starts.tolist(), gamma[lo:])):
+            total = log_scale[b, -1] + math.log(z[b, -1].sum())
+            value = total / (g * norm)
+            rounding = partial(_risk_rounding, model, z[b], log_scale[b], tilt[b], abs(g) * norm, total, value)
+            yield EvaluationResult(value=value, horizon=n, start_k=k, start_x=start, normalizer=norm), rounding
 
-    def rounding() -> float:
-        scale = abs(gamma) * norm
-        H_scaled, delta = _forward_rounding(model, z, log_scale, np.abs(tilt).max(axis=1), scale)
-        s = model.n_states
-        rest = (1.01 * (n - 1) * delta + (2 * s + 2 + abs(total)) * _U) / scale
-        return 1.01 * (H_scaled + rest) + 3.0 * _U * abs(value)
 
-    return EvaluationResult(value=value, horizon=n, start_k=k, start_x=x, normalizer=norm), rounding
+def _risk_rounding(model: Model, z, log_scale, tilt, scale: float, total: float, value: float) -> float:
+    H_scaled, delta = _forward_rounding(model, z, log_scale, np.abs(tilt).max(axis=1), scale)
+    rest = (1.01 * (len(z) - 1) * delta + (2 * model.n_states + 2 + abs(total)) * _U) / scale
+    return 1.01 * (H_scaled + rest) + 3.0 * _U * abs(value)
 
 
 def simulate(
@@ -272,7 +275,7 @@ def simulate(
     """
     gamma = _risk_factor(gamma)
     reps, seed = _count(reps, "replicate count", 1), _count(seed, "seed", 0)
-    phi, norm, actions, c = _window(model, policy, schedule, k, n, x0, gamma)
+    [(phi, norm, _, [actions], [c], _, _)] = _window(model, [policy], schedule, k, n, [x0], [gamma])
     cum = model.kernel.cumsum(axis=2)
     weighted = np.empty(reps)
     block = max(1, _SIM_BLOCK // max(n - 1, model.n_states))
@@ -371,20 +374,17 @@ def discounted_optimality_check(
     panel = random_policy_panel(model, n_slices=max(horizon_grid), size=panel_size, seed=panel_seed, start=k)
     sol = relative_value_iteration(model, tol=tol)
     w_max = float(sol.w.max())
+    members = [sol.policy] + panel
     rows = []
-    for n in horizon_grid:
-        res = exact_discounted_value(model, sol.policy, schedule, k, n, x)
-        norm = res.normalizer
-        slack = (phi_k * w_max + w_max) / norm + CHECK_SLACK
-        gap = abs(res.value - sol.lam)
-        rows.append(CheckRow(label=f"optimal policy, n={n}", value=gap, bound=slack, passed=gap <= slack))
-    for idx, policy in enumerate(panel):
-        for n in horizon_grid:
-            res = exact_discounted_value(model, policy, schedule, k, n, x)
+    for i, (res, _) in enumerate(_discounted(model, members, schedule, k, horizon_grid, [x] * len(members))):
+        if i < len(horizon_grid):
+            slack = (phi_k * w_max + w_max) / res.normalizer + CHECK_SLACK
+            gap = abs(res.value - sol.lam)
+            rows.append(CheckRow(label=f"optimal policy, n={res.horizon}", value=gap, bound=slack, passed=gap <= slack))
+        else:
             bound = sol.lam + w_max * phi_k / res.normalizer + CHECK_SLACK
-            rows.append(
-                CheckRow(label=f"panel policy {idx}, n={n}", value=res.value, bound=bound, passed=res.value <= bound)
-            )
+            label = f"panel policy {i // len(horizon_grid) - 1}, n={res.horizon}"
+            rows.append(CheckRow(label=label, value=res.value, bound=bound, passed=res.value <= bound))
     return _finish("discounted optimality", rows, {"lambda": sol.lam, "w_max": w_max, "k": k, "x": x})
 
 
@@ -406,6 +406,9 @@ def risk_upper_bound_check(
     rounding bound, which grows like 1 / gamma.
     """
     gamma = _risk_factor(gamma, 1)
+    _indices(x, model.n_states, "start state")
+    panel = list(policy_panel)
+    _count(len(panel), "policy panel size", 1)
     norm = schedule.partial_sum(k, n)
     sol = risk_relative_value_iteration(model, gamma, tol=tol)
     w = sol.w
@@ -415,8 +418,7 @@ def risk_upper_bound_check(
     slack = (phi_k * float(w[x]) + w_max * (phi_k - phi_last)) / (gamma * norm) + CHECK_SLACK
     bound = sol.lam + slack
     rows = []
-    for idx, policy in enumerate(policy_panel):
-        res, rounding = _risk(model, policy, schedule, gamma, k, n, x)
+    for idx, (res, rounding) in enumerate(_risk(model, panel, schedule, [gamma] * len(panel), k, n, [x] * len(panel))):
         row_bound = bound + rounding()
         rows.append(
             CheckRow(label=f"panel policy {idx}", value=res.value, bound=row_bound, passed=res.value <= row_bound)
@@ -442,9 +444,8 @@ def sandwich_check(
     the two values compared, which grow like 1 / gamma.
     """
     gamma = _risk_factor(gamma, 1)
-    low, low_rounding = _risk(model, policy, schedule, -gamma, k, n, x)
-    middle, middle_rounding = _discounted(model, policy, schedule, k, n, x)
-    high, high_rounding = _risk(model, policy, schedule, gamma, k, n, x)
+    (low, low_rounding), (high, high_rounding) = _risk(model, [policy] * 2, schedule, [-gamma, gamma], k, n, [x] * 2)
+    [(middle, middle_rounding)] = _discounted(model, [policy], schedule, k, [n], [x])
     lower, mid, upper = low.value, middle.value, high.value
     mid_slack = middle_rounding()
     below = mid + CHECK_SLACK + low_rounding() + mid_slack

@@ -65,7 +65,7 @@ from .model import (
     _risk_factor,
 )
 from .average_solver import stationary_distribution
-from .evaluator import exact_risk_value
+from .evaluator import _risk, exact_risk_value
 from .risk_solver import _communicating_classes, _perron_bracket
 
 # search box for log test functions when no ratio constraint is given; the
@@ -636,7 +636,7 @@ def _pruned_brackets(P, steps, x, threshold):
     only undecided nodes are expanded.  The rounding of the exact
     enumeration's products and sums, and row sums within ROW_SUM_TOL of 1,
     move q by far less than _MASS_SLACK relative to hi.  Stops at depth n
-    or once the next level would exceed the chunk size.
+    or once the next level would exceed a block (_block_sizes(s)[0] nodes).
     """
     s, n = P.shape[0], len(steps)
     least, most = steps.min(axis=1), steps.max(axis=1)
@@ -654,7 +654,7 @@ def _pruned_brackets(P, steps, x, threshold):
         if isinstance(last, int):
             last = (last + np.arange(probs.size)) % s
         probs, sums, last = probs[open_], sums[open_], last[open_]
-        if j == n or not probs.size or probs.size * s > _ENUM_CHUNK:
+        if j == n or not probs.size or probs.size * s > _block_sizes(s)[0]:
             return
         # filtered frontiers carry index arrays, which read only P.T = cyc[:, :s]
         probs, sums, last = _expand(P.T, steps[j], probs, sums, last)
@@ -911,7 +911,7 @@ def near_optimality_margin(
     # an infinite rate leaves exp(-inf) = 0 and no slack
     slack = math.log1p(math.exp(-norm * (rate_e - 2.0 * abs(gamma) * c_norm + abs(gamma) * eps))) / (abs(gamma) * norm)
     floor = lam_u - eps - slack
-    values = [exact_risk_value(model, policy, schedule, gamma, k, n, x).value for x in range(model.n_states)]
+    values = [res.value for res, _ in _risk(model, [policy] * len(P), schedule, [gamma] * len(P), k, n, range(len(P)))]
     margin = min(v - floor for v in values)
     report = MarginReport(lam_u=lam_u, rate_infimum=rate_e, slack=slack, eps=eps, gamma=gamma, values=values,
                           margin=margin, passed=margin >= -1e-12)

@@ -249,6 +249,20 @@ def test_verify_refuses_an_oversized_panel_before_any_evaluation(tmp_path, capsy
     assert not calls
 
 
+def test_evaluate_takes_its_horizons_and_both_gammas_from_one_pass_each(tmp_path, model_file, monkeypatch):
+    # every horizon is a prefix of one discounted pass, and the +gamma and
+    # -gamma risk values are the two members of one risk pass
+    sizes = []
+    inner = longrun.evaluator._forward
+    monkeypatch.setattr(longrun.evaluator, "_forward", lambda m, a, *rest: sizes.append(a.shape) or inner(m, a, *rest))
+    args = ["evaluate", "--model", model_file, "--gamma", "0.5", "--horizons", "100,1000,10"]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 0
+    assert sizes == [(1, 1000, 2), (2, 10, 2)]
+    report = (tmp_path / "o" / "report.txt").read_text(encoding="utf-8")
+    assert [line.split(":")[0] for line in report.splitlines()[3:]] == [
+        "J[100]", "J[1000]", "J[10]", "risk_value[+gamma]", "risk_value[-gamma]"]
+
+
 def test_ldp_horizons_past_the_guard_exit_3_and_past_the_cap_exit_2(tmp_path, capsys, model_file):
     # a two-state chain is enumerated up to n = 22; beyond, the guard refuses
     # every row before any phi work, and an entry above the cap is a usage error

@@ -456,6 +456,19 @@ def test_deviation_audit_peak_memory():
     assert peak_chunks(lambda: deviation_rows(P)) <= 1.97
 
 
+def test_tied_starts_audit_peak_memory():
+    # the kernel of test_tied_starts_are_both_enumerated at n = 16, where no
+    # bracket rules out the tied start: brackets stop deepening before a
+    # level of more than a block of nodes, so the audit reads 1.06 chunks,
+    # about one exact_event_probability call (1.03); brackets deepened up to
+    # a chunk of nodes read 3.11
+    P = np.array([[0.5, 0.3, 0.2], [0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+    f, sched = np.array([2.0, 2.0, 1.0]), HyperbolicSchedule(1.0, 1.0)
+    rows = []
+    assert peak_chunks(lambda: rows.extend(rows_of(P, f, 0.02, sched, 0, [16]))) <= 1.98
+    assert rows[0].q_exact == max(exact_event_probability(P, sched, 0, 16, f, 0.02, x) for x in range(3))
+
+
 @pytest.mark.parametrize("s, n, pin", [(2, 22, 1.84), (5, 12, 1.65)])
 def test_guard_shape_peak_memory(s, n, pin):
     # one event probability at the guard's largest shapes reads 0.91 and

@@ -510,10 +510,10 @@ def test_rounding_bounds_the_distance_to_an_extended_precision_recursion(seed, g
     actions = np.array([seed % 2, 0, 1])
     for sched, n in itertools.product((hyperbolic, unit), (10, 300)):
         if gamma == 0.0:
-            res, rounding = longrun.evaluator._discounted(m, StationaryPolicy(actions), sched, 0, n, 0)
+            [(res, rounding)] = longrun.evaluator._discounted(m, [StationaryPolicy(actions)], sched, 0, [n], [0])
             assert res == exact_discounted_value(m, StationaryPolicy(actions), sched, 0, n, 0)
         else:
-            res, rounding = longrun.evaluator._risk(m, StationaryPolicy(actions), sched, gamma, 0, n, 0)
+            [(res, rounding)] = longrun.evaluator._risk(m, [StationaryPolicy(actions)], sched, [gamma], 0, n, [0])
             assert res == exact_risk_value(m, StationaryPolicy(actions), sched, gamma, 0, n, 0)
         want = longdouble_values(m, actions, sched, gamma, 0, n, 0)
         assert abs(np.longdouble(res.value) - want) <= rounding()
@@ -544,13 +544,13 @@ def test_sandwich_fails_an_ordering_broken_by_more_than_its_bound(monkeypatch, r
     rep = sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0)
     inner = longrun.evaluator._discounted
     lower, upper = rep.context["lower"], rep.context["upper"]
-    true_mid, rounding = inner(reference_model, reference_policy, unit, 0, 100, 0)
+    [(true_mid, rounding)] = inner(reference_model, [reference_policy], unit, 0, [100], [0])
     # row 0 bounds lower by mid + slack, row 1 bounds mid by upper + slack
     slack = rep.rows[row].bound - (rep.context["mid"] if row == 0 else upper)
     edge = lower - slack if row == 0 else upper + slack
     for moved, passes in ((edge, True), (math.nextafter(edge, -math.inf if row == 0 else math.inf), False)):
         monkeypatch.setattr(longrun.evaluator, "_discounted",
-                            lambda *args: (dataclasses.replace(true_mid, value=moved), rounding))
+                            lambda *args: [(dataclasses.replace(true_mid, value=moved), rounding)])
         if passes:
             assert sandwich_check(reference_model, reference_policy, unit, gamma, 0, 100, 0).passed
         else:
@@ -562,7 +562,7 @@ def test_sandwich_fails_with_the_risk_values_swapped(monkeypatch, reference_mode
     # a mis-signed gamma breaks both orderings by about gamma * variance,
     # far beyond the rounding bound at gamma = 0.5
     inner = longrun.evaluator._risk
-    monkeypatch.setattr(longrun.evaluator, "_risk", lambda m, p, s, g, *rest: inner(m, p, s, -g, *rest))
+    monkeypatch.setattr(longrun.evaluator, "_risk", lambda m, p, s, g, *rest: inner(m, p, s, [-v for v in g], *rest))
     with pytest.raises(CheckFailed) as exc:
         sandwich_check(reference_model, reference_policy, unit, 0.5, 0, 100, 0)
     assert not any(r.passed for r in exc.value.report.rows)
@@ -593,3 +593,173 @@ def test_discounted_check_refuses_an_oversized_panel_before_solving(monkeypatch,
     with pytest.raises(InvalidModel, match="exceeds"):
         discounted_optimality_check(frozen, unit, 0, [67109], panel_size=1000)
     assert not calls
+
+
+# ------------------------------------------------- one batched recursion
+
+
+def one_row_forward(model, actions, x, tilt):
+    """The forward recursion of one member on its own, a vector-matrix
+    product per step: the floats every batched member must reproduce."""
+    n, s = actions.shape
+    z, log_scale, mass, shift = np.empty((n, s)), np.empty(n), np.zeros(s), 0.0
+    mass[x] = 1.0
+    with np.errstate(divide="ignore"):
+        for j in range(n):
+            e = np.log(mass) + tilt[j]
+            shift += e.max()
+            z[j], log_scale[j] = np.exp(e - e.max()), shift
+            mass = z[j] @ model.kernel[actions[j], np.arange(s)]
+    return z, log_scale
+
+
+def batch_case(s, zeros, size=7, n_slices=30):
+    """A seeded two-action model on s states (a third of its kernel entries
+    zero if zeros), a panel of time-varying policies and mixed start states."""
+    rng = np.random.default_rng([s, zeros])
+    kernel = rng.random((2, s, s)) + np.eye(s)
+    if zeros:
+        kernel[rng.random(kernel.shape) < 1 / 3] = 0.0
+        kernel += np.eye(s)
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    model = Model(kernel, rng.normal(size=(s, 2)))
+    panel = [TimeVaryingPolicy(1, rng.integers(0, 2, size=(n_slices, s))) for _ in range(size)]
+    return model, panel, rng.integers(0, s, size=size).tolist()
+
+
+def members_of(results):
+    """(value, normalizer, horizon, start state, rounding bound) of every
+    yielded result."""
+    return [(res.value, res.normalizer, res.horizon, res.start_x, rounding()) for res, rounding in results]
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
+@pytest.mark.parametrize("s", [2, 3, 50])
+def test_batched_members_equal_single_member_passes(s, zeros, hyperbolic):
+    model, panel, xs = batch_case(s, zeros)
+    horizons = [1, 12, 30, 5]
+    gammas = [0.5, -0.5, 2.0, -1e-6, 1e-8, -3.0, 0.25]
+    discounted = members_of(longrun.evaluator._discounted(model, panel, hyperbolic, 1, horizons, xs))
+    assert discounted == [
+        members_of(longrun.evaluator._discounted(model, [p], hyperbolic, 1, [n], [x]))[0]
+        for p, x in zip(panel, xs) for n in horizons
+    ]
+    assert [v for v, *_ in discounted] == [
+        exact_discounted_value(model, p, hyperbolic, 1, n, x).value for p, x in zip(panel, xs) for n in horizons
+    ]
+    risk = members_of(longrun.evaluator._risk(model, panel, hyperbolic, gammas, 1, 30, xs))
+    assert risk == [
+        members_of(longrun.evaluator._risk(model, [p], hyperbolic, [g], 1, 30, [x]))[0]
+        for p, g, x in zip(panel, gammas, xs)
+    ]
+    assert [v for v, *_ in risk] == [
+        exact_risk_value(model, p, hyperbolic, g, 1, 30, x).value for p, g, x in zip(panel, gammas, xs)
+    ]
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
+@pytest.mark.parametrize("s", [2, 3, 50])
+def test_every_batched_row_is_the_one_member_recursion(s, zeros):
+    # np.matmul over the batch must give each member the floats of z @ K on
+    # its own rows: a change in numpy's matmul dispatch fails here by name
+    model, panel, xs = batch_case(s, zeros)
+    rng = np.random.default_rng(s)
+    actions = np.stack([p.table for p in panel])
+    tilt = rng.normal(size=actions.shape) * np.array([0.0, 1e-6, 0.5, 40.0, -2.0, -1e-8, 3.0])[:, None, None]
+    z, log_scale = longrun.evaluator._forward(model, actions, np.array(xs), tilt)
+    for b in range(len(panel)):
+        want_z, want_log_scale = one_row_forward(model, actions[b], xs[b], tilt[b])
+        assert np.array_equal(z[b], want_z) and np.array_equal(log_scale[b], want_log_scale)
+
+
+def counted_forward(monkeypatch):
+    """Record the batch size of every _forward call."""
+    sizes, inner = [], longrun.evaluator._forward
+    monkeypatch.setattr(longrun.evaluator, "_forward", lambda m, actions, *rest: sizes.append(len(actions))
+                        or inner(m, actions, *rest))
+    return sizes
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7])
+def test_blocks_of_members_match_one_block(monkeypatch, width, hyperbolic):
+    # a block holds width members (_SIM_BLOCK floats of z); every row is the
+    # same float as in one block, and each block is one _forward call
+    model, panel, xs = batch_case(3, True)
+    horizons, gammas = [30, 4], [0.5, -0.5, 2.0, -1e-6, 1e-8, -3.0, 0.25]
+    whole = (members_of(longrun.evaluator._discounted(model, panel, hyperbolic, 1, horizons, xs)),
+             members_of(longrun.evaluator._risk(model, panel, hyperbolic, gammas, 1, 30, xs)))
+    monkeypatch.setattr(longrun.evaluator, "_SIM_BLOCK", width * 30 * 3 + 2)
+    sizes = counted_forward(monkeypatch)
+    assert (members_of(longrun.evaluator._discounted(model, panel, hyperbolic, 1, horizons, xs)),
+            members_of(longrun.evaluator._risk(model, panel, hyperbolic, gammas, 1, 30, xs))) == whole
+    blocks = [min(width, 7 - lo) for lo in range(0, 7, width)]
+    assert sizes == blocks + blocks
+
+
+def readme_model():
+    from longrun.cli import gen_model
+
+    return gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": 7})
+
+
+def test_each_check_makes_one_forward_call(monkeypatch, hyperbolic):
+    # the README model and verify's panels: the discounted check evaluates
+    # its 101 members at both horizons in one pass, the risk check its 100
+    # policies (once 100 calls), the sandwich both signs of gamma and the
+    # margin every start state (once one call per state)
+    from longrun import near_optimality_margin
+
+    model = readme_model()
+    sizes = counted_forward(monkeypatch)
+    discounted_optimality_check(model, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1)
+    assert sizes == [101]
+    panel = random_policy_panel(model, n_slices=500, size=100, seed=2)
+    risk_upper_bound_check(model, hyperbolic, 0.5, 0, 500, panel)
+    assert sizes == [101, 100]
+    sandwich_check(model, StationaryPolicy([0, 0, 0]), hyperbolic, 0.5, 0, 50, 0)
+    assert sizes == [101, 100, 2, 1]
+    near_optimality_margin(model, StationaryPolicy([0, 0, 0]), hyperbolic, 0.1, -0.01, 0, 1000)
+    assert sizes == [101, 100, 2, 1, 3]
+
+
+def test_verify_panels_one_forward_call_per_block(monkeypatch, hyperbolic):
+    # blocks of 30 members: the 101-member discounted pass takes four calls
+    model = readme_model()
+    want = discounted_optimality_check(model, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1)
+    monkeypatch.setattr(longrun.evaluator, "_SIM_BLOCK", 30 * 500 * 3)
+    sizes = counted_forward(monkeypatch)
+    assert discounted_optimality_check(model, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1) == want
+    assert sizes == [30, 30, 30, 11]
+
+
+@pytest.mark.parametrize("x", [5, -1, True, 1.0, "0"])
+def test_risk_upper_bound_check_refuses_a_bad_start_before_solving(monkeypatch, two_action_model, hyperbolic, x):
+    # x = 5 and x = 1.0 raised a bare IndexError reading w[x], x = True a TypeError
+    monkeypatch.setattr(longrun.evaluator, "risk_relative_value_iteration", None)
+    with pytest.raises(InvalidModel, match="start state"):
+        risk_upper_bound_check(two_action_model, hyperbolic, 0.5, 0, 10, [StationaryPolicy([0, 1])], x=x)
+
+
+@pytest.mark.parametrize("panel", [[], (), iter([])], ids=["list", "tuple", "iterator"])
+def test_risk_upper_bound_check_refuses_an_empty_panel(monkeypatch, two_action_model, hyperbolic, panel):
+    # an empty panel passed with zero rows, vacuously
+    monkeypatch.setattr(longrun.evaluator, "risk_relative_value_iteration", None)
+    with pytest.raises(InvalidModel, match="policy panel size"):
+        risk_upper_bound_check(two_action_model, hyperbolic, 0.5, 0, 10, panel)
+
+
+def test_risk_upper_bound_check_reads_a_panel_iterator(two_action_model, hyperbolic):
+    panel = random_policy_panel(two_action_model, 10, 4, 3)
+    assert risk_upper_bound_check(two_action_model, hyperbolic, 0.5, 0, 10, iter(panel)).rows == \
+        risk_upper_bound_check(two_action_model, hyperbolic, 0.5, 0, 10, panel).rows
+
+
+def test_a_block_also_bounds_each_steps_kernel_rows(monkeypatch, hyperbolic):
+    # with more states than steps a step gathers B x s x s kernel entries,
+    # more than the B x n x s of z: blocks of two members on 50 states
+    model, panel, xs = batch_case(50, False)
+    whole = members_of(longrun.evaluator._risk(model, panel, hyperbolic, [0.5] * 7, 1, 5, xs))
+    monkeypatch.setattr(longrun.evaluator, "_SIM_BLOCK", 2 * 50 * 50 + 1)
+    sizes = counted_forward(monkeypatch)
+    assert members_of(longrun.evaluator._risk(model, panel, hyperbolic, [0.5] * 7, 1, 5, xs)) == whole
+    assert sizes == [2, 2, 2, 1]
