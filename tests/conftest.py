@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from longrun import HyperbolicSchedule, Model, StationaryPolicy, UnitSchedule
+from longrun.cli import gen_model
 
 
 @pytest.fixture
@@ -58,3 +59,12 @@ def random_model(seed: int, n_states: int = 3, n_actions: int = 2, min_entry: fl
     kernel = min_entry + (1.0 - n_states * min_entry) * (g / g.sum(axis=2, keepdims=True))
     reward = rng.random((n_states, n_actions))
     return Model(kernel, reward)
+
+
+def deviation_kernel(seed: int, copy: int = 0) -> np.ndarray:
+    """The kernel that the deviation benchmark's model copy audits at a
+    workload seed (model seed SeedSequence([seed, 3] + [copy if nonzero]))."""
+    entropy = [seed, 3] + ([copy] if copy else [])
+    model_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    model = gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": model_seed})
+    return model.policy_kernel(StationaryPolicy([0, 0, 0]))

@@ -31,7 +31,7 @@ from longrun import (
 
 from longrun.cli import gen_model
 
-from conftest import random_model
+from conftest import deviation_kernel, random_model
 
 REF_P = np.array([[0.75, 0.25], [0.5, 0.5]])
 
@@ -374,6 +374,29 @@ def test_upper_bound_check_kappa_zero(unit):
         assert row.bound >= 1.0
 
 
+@pytest.mark.parametrize("copy", range(3))
+def test_upper_bound_check_binds_on_the_deviation_kernels(unit, copy):
+    # the deviation benchmark's seed-7 kernels at a kappa where the bound
+    # d exp(-kappa sum phi) is below 1 (0.899 at kappa 0.1, n = 8, down to
+    # 0.0815 at kappa 0.2, n = 16), so each row can fail; Q reads 0.0019
+    # to 0.33
+    P = deviation_kernel(7, copy)
+    for kappa in (0.1, 0.2):
+        rep = ldp_upper_bound_check(P, np.array([2.0, 1.0, 1.0]), kappa, unit, 0, [8, 12, 16])
+        assert rep.passed and all(0.0 < row.q_exact <= row.bound < 0.9 for row in rep.rows)
+
+
+@pytest.mark.parametrize("copy", [1, 2])
+def test_upper_bound_check_needs_the_ratio_d(hyperbolic, copy):
+    # on the deviation benchmark's seed-7 copies 1 and 2 a start's whole
+    # mass reaches the threshold at n = 16, so Q = 1.0 exceeds
+    # exp(-kappa sum phi) = 0.9346: the bound holds only with its factor d
+    P = deviation_kernel(7, copy)
+    (row,) = ldp_upper_bound_check(P, np.array([2.0, 1.0, 1.0]), 0.02, hyperbolic, 0, [16]).rows
+    assert row.q_exact == 1.0 > math.exp(-0.02 * row.sum_phi)
+    assert row.bound == 2.0 * math.exp(-0.02 * row.sum_phi)
+
+
 def test_upper_bound_check_requires_f_at_least_one(unit):
     with pytest.raises(InvalidModel):
         ldp_upper_bound_check(REF_P, np.array([0.5, 0.25]), 0.0, unit, 0, [4])
@@ -396,7 +419,7 @@ def test_event_probability_reads_kappa_as_a_finite_number(unit, kappa):
 
 def test_event_probability_takes_a_negative_kappa(unit):
     # every path sum of ln(f/Pf) is above -4 * 0.41, so all paths count
-    assert exact_event_probability(REF_P, unit, 0, 4, np.array([2.0, 1.0]), -1.0, 0) == pytest.approx(1.0, abs=1e-15)
+    assert exact_event_probability(REF_P, unit, 0, 4, np.array([2.0, 1.0]), -1.0, 0) == 1.0
 
 
 @pytest.mark.parametrize("f", [[2.0], [2.0, float("nan")], [2.0, 0.0], "x", [[2.0], [1.0, 1.0]]],
