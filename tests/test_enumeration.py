@@ -14,8 +14,10 @@ masses.  Two references check it:
 The communicating classes of the Perron bracket are checked the same way
 against the full squaring."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
@@ -53,10 +55,16 @@ def steps_of(P, schedule, k, n, f, kappa):
 
 
 def reference_mass(P, steps, x, threshold):
+    return reference_walk(P, steps, x, threshold)[0]
+
+
+def reference_walk(P, steps, x, threshold):
     """The search by whole levels: each level's nodes decided by the
     search's rule, its open nonzero nodes expanded row by row (child
-    i * s + y), and one math.fsum of every decided-above mass."""
+    i * s + y), and one math.fsum of every decided-above mass; with it, the
+    number of nodes expanded."""
     s, n = P.shape[0], len(steps)
+    opened = 0
     rem_lo = np.append(np.cumsum(steps.min(axis=1)[::-1])[::-1], 0.0)
     rem_hi = np.append(np.cumsum(steps.max(axis=1)[::-1])[::-1], 0.0)
     margin = 8.0 * n * EPS * (float(np.abs(steps).max(axis=1).sum()) + abs(threshold))
@@ -65,12 +73,13 @@ def reference_mass(P, steps, x, threshold):
         above = sums + rem_lo[j] - margin >= threshold
         keep = ~above & (sums + rem_hi[j] + margin >= threshold) & (probs > 0.0)
         decided.append(probs[above])
+        opened += int(keep.sum())
         probs, sums, last = probs[keep], sums[keep], last[keep]
         probs = (probs[:, None] * P[last]).ravel()
         sums = (sums[:, None] + steps[j]).ravel()
         last = np.tile(np.arange(s), last.size)
     decided.append(probs[sums >= threshold])
-    return math.fsum(chain.from_iterable(decided))
+    return math.fsum(chain.from_iterable(decided)), opened
 
 
 def reference_event_probability(P, schedule, k, n, f, kappa, x):
@@ -276,6 +285,78 @@ def test_two_states_at_the_largest_horizon_match(width, tiny):
             reference_event_probability(P, schedule, 0, 22, f, 0.02, x)
 
 
+KINDS = pytest.mark.parametrize(
+    "zeros, tiny", [(False, False), (True, False), (False, True), (True, True)],
+    ids=["positive", "zero-entries", "underflow", "zero-entries-underflow"],
+)
+
+
+@KINDS
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_every_horizon_and_start_matches_the_reference(width, s, zeros, tiny):
+    # a search keeps nothing between starts or horizons: event probabilities
+    # in a mixed order of horizons, a shorter one after a longer one, and
+    # the worst start's mass on the same inputs each match the reference
+    rng = np.random.default_rng([s, zeros, tiny, width])
+    P = ldp._require_ergodic(kernel_with(rng, s, zeros, tiny))
+    f = 1.0 + 2.0 * rng.random(s)
+    top, schedule = MAX_HORIZON[s], HyperbolicSchedule(1.0, 1.0)
+    for n in (top, 2, top - 2, 1, top, 3):
+        steps, threshold = steps_of(P, schedule, 0, n, f, 0.02)
+        qs = [reference_mass(P, steps, x, threshold) for x in range(s)]
+        assert [exact_event_probability(P, schedule, 0, n, f, 0.02, x) for x in range(s)] == qs
+        assert ldp._worst_start_mass(P, steps, threshold) == max(qs)
+    assert_rows_match(P, f, 0.02, schedule, 0, [top, 2, top - 2])
+
+
+@KINDS
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_the_search_expands_exactly_the_undecided_nodes(monkeypatch, s, zeros, tiny):
+    # at width 1 each expansion takes one node and yields one bracket after
+    # the first, so the brackets count the nodes expanded: the reference's
+    # open nodes of nonzero mass, no more, at thresholds from none decided
+    # early to most decided early
+    monkeypatch.setattr(ldp, "_WIDTH", 1)
+    rng = np.random.default_rng([s, zeros, tiny])
+    P = ldp._require_ergodic(kernel_with(rng, s, zeros, tiny))
+    f = 1.0 + 2.0 * rng.random(s)
+    n = MAX_HORIZON[s]
+    pruned = False
+    for kappa in (-1.0, 0.0, 0.02, 0.1):
+        steps, threshold = steps_of(P, UnitSchedule(), 0, n, f, kappa)
+        for x in range(s):
+            brackets = list(ldp._search(P, steps, x, threshold))
+            mass, opened = reference_walk(P, steps, x, threshold)
+            assert len(brackets) == 1 + opened and brackets[-1] == (mass, mass)
+            pruned |= opened < (s ** (n - 1) - 1) // (s - 1)
+    assert pruned
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 16, 301])
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
+def test_widths_that_split_a_level_unevenly_match(monkeypatch, chunk, zeros):
+    # _WIDTH // 3 open nodes per chunk: a level's open nodes split into
+    # chunks with a shorter last one, and a width below s still expands
+    # one node at a time
+    monkeypatch.setattr(ldp, "_WIDTH", chunk)
+    rng = np.random.default_rng([chunk, zeros])
+    P = random_kernel(rng, 3, zeros)
+    assert_rows_match(P, np.array([2.0, 1.0, 1.5]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [2, 5, 7])
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["positive", "underflow"])
+def test_event_probabilities_of_successive_calls_match(monkeypatch, tiny):
+    # each call has its own search; a shorter horizon after a longer one,
+    # and the longer one again, read nothing of an earlier call's
+    monkeypatch.setattr(ldp, "_WIDTH", 50)
+    P = ldp._require_ergodic(kernel_with(np.random.default_rng(3), 3, True, tiny))
+    f, schedule = np.array([2.0, 1.0, 1.5]), UnitSchedule()
+    for n in (7, 4, 7, 1):
+        for x in range(3):
+            assert exact_event_probability(P, schedule, 0, n, f, 0.01, x) == \
+                reference_event_probability(P, schedule, 0, n, f, 0.01, x)
+
+
 # ------------------------------------------------ the exact oracle
 
 
@@ -351,6 +432,22 @@ def deviation_rows(P):
     return rows_of(P, np.array([2.0, 1.0, 1.0]), 0.02, HyperbolicSchedule(1.0, 1.0), 0, [8, 10, 12, 14, 16])
 
 
+@pytest.mark.parametrize("copy", range(3))
+@pytest.mark.parametrize("seed", [7, 11])
+def test_deviation_brackets_narrow_to_the_mass(seed, copy):
+    # lo only adds decided masses, and an expansion replaces a chunk's mass
+    # in hi by its children's, which exceed it by rounding alone, so lo never
+    # falls and hi never rises beyond the slack the audit allows
+    P = ldp._require_ergodic(deviation_kernel(seed, copy))
+    for n in (8, 16):
+        steps, threshold = steps_of(P, HyperbolicSchedule(1.0, 1.0), 0, n, np.array([2.0, 1.0, 1.0]), 0.02)
+        for x in range(3):
+            brackets = list(ldp._search(P, steps, x, threshold))
+            for (lo, hi), (lo2, hi2) in zip(brackets, brackets[1:]):
+                assert lo <= lo2 <= hi2 <= hi * (1.0 + ldp._MASS_SLACK) + ldp._MASS_FLOOR
+            assert brackets[-1][0] == brackets[-1][1] <= 1.0
+
+
 def test_deviation_probabilities_never_exceed_one():
     # seed-7 copies 1 and 2 have a start whose whole mass is decided at
     # depth 1, so they read 1.0 exactly; a sum of every leaf's float mass
@@ -407,6 +504,34 @@ def test_guard_shape_peak_memory(s, n, pin):
     P = random_kernel(np.random.default_rng([s, n]), s, False)
     f = 1.0 + np.arange(s) / s
     assert peak_units(lambda: exact_event_probability(P, HyperbolicSchedule(1.0, 1.0), 0, n, f, 0.02, 0)) <= pin
+
+
+def test_searches_are_freed_without_the_cycle_collector(monkeypatch):
+    # a search referring to itself would keep its open chunks alive until
+    # the next collection, so the three audits of a deviation round could
+    # hold three at once
+    made = []
+    inner = ldp._search
+
+    def recorded(*args):
+        search = inner(*args)
+        made.append(weakref.ref(search))
+        return search
+
+    monkeypatch.setattr(ldp, "_search", recorded)
+    P = deviation_kernel(7)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        deviation_rows(P)
+        exact_event_probability(P, HyperbolicSchedule(1.0, 1.0), 0, 12, np.array([2.0, 1.0, 1.0]), 0.02, 0)
+        assert len(made) == 5 * 3 + 1 and all(ref() is None for ref in made)
+        # nor does any search leave a cycle among its open chunks
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_guard_raises_before_any_search(monkeypatch):
