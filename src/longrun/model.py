@@ -58,9 +58,9 @@ class Model:
     read-only) and safe to share between concurrent solvers.  The exact
     ergodicity coefficient is computed once per instance, on first read of
     `ergodicity`, and lives as long as the instance; ergodicity_coefficient
-    finds it from a float32 screen of half the row pairs and a float64
-    recheck of the few pairs the screen keeps, bit for bit the plain
-    per-pair maximum.
+    finds it from a screen of half the row pairs, one float32 minimum-sum
+    value per pair for both its orders, and a float64 recheck of the few
+    pairs the screen keeps, bit for bit the plain per-pair maximum.
     """
 
     kernel: np.ndarray
@@ -208,7 +208,11 @@ def _policy_actions(model: Model, policy, k: int = 0, n: int | None = None) -> n
         raise InvalidModel(f"need a stationary policy, got {len(table)} action rows")
     if table.shape[1] != model.n_states:
         raise InvalidModel(f"policy covers {table.shape[1]} states, model has {model.n_states}")
-    actions = table if n is None else table[np.clip(np.arange(k, k + n) - policy.start, 0, len(table) - 1)]
+    actions = table
+    if n is not None:
+        # the offset is clamped in Python ints first: a window past int64 plays the clamped rows
+        offset = min(max(int(k) - policy.start, -n), len(table) - 1)
+        actions = table[np.clip(np.arange(offset, offset + n), 0, len(table) - 1)]
     if (actions >= model.n_actions).any():
         raise InvalidModel("policy uses an action index outside the model's action set")
     return actions[0] if n is None else actions
@@ -473,42 +477,70 @@ def _gamma(k: int, u: float) -> float:
 
 
 def _screen_margin(s: int) -> float:
-    """Twice a bound E on |S - t| for two kernel rows p, q of length s, where
-    S is the float32 screen value of (p, q) and t the float64 value of
-    either (p, q) or (q, p), both as ergodicity_coefficient computes them.
+    """Twice a bound E on |V - t| for two kernel rows p, q of length s, where
+    V is the screen value of the pair and t the float64 value of either
+    (p, q) or (q, p), both as ergodicity_coefficient computes them.
 
-    Let T = sum_y (p(y) - q(y))^+ in exact arithmetic on the float64 rows.
-    Model admits a row only if its float64 sum is within ROW_SUM_TOL of 1;
-    that sum errs by at most gamma_{s-1} u64-relative, so every exact row
-    mass is at most R = 1 + ROW_SUM_TOL + s 2^-52.
-    - Screen.  Rounding to float32 moves an entry x by at most u32 x plus
-      2^-150 (half the least subnormal, for entries that underflow), and
-      (.)^+ is 1-Lipschitz: 2 u32 R + s 2^-149 in all.  The float32
-      subtraction is exact or off by u32 relative, which (.)^+ keeps, and
-      the terms sum to at most the rounded row mass Q = (1 + u32) R +
-      s 2^-150: u32 Q.  The float32 sum of s nonnegative terms, in any
-      order: gamma_{s-1} (1 + u32) Q.  Their total is E32 >= |S - T|.
-    - Float64 value.  The same argument without input rounding:
-      E64 = u64 R + gamma_{s-1} (1 + u64) R >= |t - T|.
-    - Row-sum asymmetry.  T(p, q) - T(q, p) = sum p - sum q exactly, so
-      the two orders differ by at most A = 2 (ROW_SUM_TOL + s 2^-52).
-    E = E32 + E64 + A, and the factor 2 covers the rounding of E itself
-    and of the float64 comparisons against it.
+    Let T(p, q) = sum_y (p(y) - q(y))^+ in exact arithmetic on the float64
+    rows.  As (x - y)^+ = x - min(x, y), the larger of T(p, q) and T(q, p)
+    is W = max(sum p, sum q) - sum_y min(p(y), q(y)).  Model admits a row
+    only if its float64 sum is within ROW_SUM_TOL of 1; that sum errs by at
+    most gamma_{s-1} u64-relative, so every exact row mass is at most
+    R = 1 + ROW_SUM_TOL + s 2^-52.
+    - Minimum sum M.  Rounding to float32 is monotone, so the minimum of two
+      rounded entries is the rounded minimum, exactly; it moves min(p, q)(y)
+      by at most u32 of it plus 2^-150 (half the least subnormal): u32 R +
+      s 2^-150 in all, as sum min(p, q) <= sum p <= R.  The rounded minima
+      sum to at most Q = (1 + u32) R + s 2^-150, and their float32 sum in any
+      order errs by at most gamma_{s-1} Q (Higham, Accuracy and Stability of
+      Numerical Algorithms, section 4.2), BLAS blocking and a fused
+      multiply-add by the factor 1 included.  Float32 addition with gradual
+      underflow is exact on subnormals; a kernel that flushes them to zero
+      loses under 2^-126 per entry and per addition, s 2^-125 in all.
+    - Row sums r.  Each float64 row sum errs by at most gamma_{s-1} R, in any
+      order, and max is 1-Lipschitz.
+    - Subtraction.  V = max(r_p, r_q) - M in float64 errs by at most u64
+      times the larger operand, at most (1 + gamma_{s-1}) R for r and
+      (1 + gamma_{s-1}) Q + s 2^-125 for M.
+    Their total is EV >= |V - W|.
+    - Float64 value.  The subtraction is exact or off by u64 relative, which
+      (.)^+ keeps, and the terms sum to at most R: E64 = u64 R +
+      gamma_{s-1} (1 + u64) R >= |t - T|, for either order.
+    - Order.  |T(p, q) - W| <= |sum p - sum q| <= A = 2 (ROW_SUM_TOL + s 2^-52).
+    E = EV + E64 + A, and the factor 2 covers the rounding of E itself and
+    of the float64 comparisons against it.
     """
     u32, u64 = 2.0**-24, 2.0**-53
+    g32, g64 = _gamma(s - 1, u32), _gamma(s - 1, u64)
     mass = 1.0 + ROW_SUM_TOL + s * 2.0**-52
     q = (1.0 + u32) * mass + s * 2.0**-150
-    e32 = 2.0 * u32 * mass + s * 2.0**-149 + u32 * q + _gamma(s - 1, u32) * (1.0 + u32) * q
-    e64 = u64 * mass + _gamma(s - 1, u64) * (1.0 + u64) * mass
-    return 2.0 * (e32 + e64 + 2.0 * (ROW_SUM_TOL + s * 2.0**-52))
+    e_min = u32 * mass + s * 2.0**-150 + g32 * q + s * 2.0**-125
+    e_sum = g64 * mass
+    e_sub = u64 * ((1.0 + g64) * mass + (1.0 + g32) * q + s * 2.0**-125)
+    e64 = u64 * mass + g64 * (1.0 + u64) * mass
+    return 2.0 * (e_min + e_sum + e_sub + e64 + 2.0 * (ROW_SUM_TOL + s * 2.0**-52))
+
+
+def _screen_values(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, mins: np.ndarray,
+                   sums: np.ndarray) -> np.ndarray:
+    """The float64 (len(a), len(b)) block of screen values max(ra_i, rb_j) -
+    M_ij for float32 rows a, b with float64 row sums ra, rb, where M_ij is
+    the float32 sum of min(a_i, b_j), computed in the reused float32 buffers
+    mins and sums: one elementwise pass and one BLAS matrix-vector product."""
+    shape = (a.shape[0], b.shape[0], a.shape[1])
+    d = mins[: math.prod(shape)].reshape(shape)
+    t = sums[: shape[0] * shape[1]]
+    np.minimum(a[:, None, :], b[None, :, :], out=d)
+    np.matmul(d.reshape(-1, shape[2]), np.ones(shape[2], np.float32), out=t)
+    return np.maximum(ra[:, None], rb[None, :]) - t.reshape(shape[:2])
 
 
 def _positive_part_sums(a: np.ndarray, b: np.ndarray, diff: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """The (len(a), len(b)) block of sum_y (a_i(y) - b_j(y))^+, computed in
-    the reused buffers diff and sums (of the rows' dtype).
+    the reused float64 buffers diff and sums.
 
-    Each pair sum is one contiguous length-s reduction, so every float64
-    value is the plain per-pair sum bit for bit, whatever the block shape.
+    Each pair sum is one contiguous length-s reduction, so every value is
+    the plain per-pair sum bit for bit, whatever the block shape.
     """
     shape = (a.shape[0], b.shape[1], a.shape[2])
     d = diff[: math.prod(shape)].reshape(shape)
@@ -529,13 +561,14 @@ def ergodicity_coefficient(model: Model) -> float:
     The result is bit for bit the float64 maximum of the plain per-pair sums
     np.maximum(rows[i] - rows[j], 0).sum() over all ordered pairs, from a
     certified screen followed by an exact recheck:
-    - Each block of rows is screened in float32 against the rows from its
-      first row on, about half the pairs: for stochastic rows the two
-      orders of a pair differ by the row-sum difference only.
-    - _screen_margin proves how far a screened value can lie from either
-      float64 order.  A pair is kept when its screened value is within two
-      margins of the running top; the top only rises, so no pair that can
-      attain the maximum is missed.
+    - As sum_y (p - q)^+ = sum p - sum_y min(p, q), one screen value
+      V = max(sum p, sum q) - sum_y min(p, q) covers both orders of a pair:
+      each block of rows is screened against the rows from its first row
+      on, about half the pairs, with the minima in float32 and their sums
+      as one BLAS matrix-vector product.
+    - _screen_margin proves how far V can lie from either float64 order.  A
+      pair is kept when its V is within two margins of the running top; the
+      top only rises, so no pair that can attain the maximum is missed.
     - The rows and partners of a block's kept pairs are recomputed in both
       orders in float64, as one rectangle of row pairs, with the same
       subtraction, positive part and contiguous length-s reduction as the
@@ -546,7 +579,7 @@ def ergodicity_coefficient(model: Model) -> float:
     s = model.n_states
     rows = model.kernel.reshape(-1, s)
     n = rows.shape[0]
-    screen = rows.astype(np.float32)
+    screen, row_sums = rows.astype(np.float32), rows.sum(axis=1)
     diff = np.empty(max(_PAIR_BLOCK, n * s))
     sums = np.empty(max(_PAIR_BLOCK // s, n))
     diff32, sums32 = np.empty(diff.size, np.float32), np.empty(sums.size, np.float32)
@@ -556,10 +589,9 @@ def ergodicity_coefficient(model: Model) -> float:
     while lo < n:
         w = n - lo
         m = min(w, max(1, _PAIR_BLOCK // (w * s)))
-        t = _positive_part_sums(screen[lo : lo + m, None, :], screen[None, lo:, :], diff32, sums32)
-        top = max(top, float(t.max()))
-        # a float64 threshold, so the float32 sums are compared unrounded
-        keep = t >= np.float64(top - 2.0 * margin)
+        v = _screen_values(screen[lo : lo + m], screen[lo:], row_sums[lo : lo + m], row_sums[lo:], diff32, sums32)
+        top = max(top, float(v.max()))
+        keep = v >= top - 2.0 * margin
         if keep.any():
             rk, ck = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
             blk, par = rows[lo + rk[0] : lo + rk[-1] + 1], rows[lo + ck[0] : lo + ck[-1] + 1]

@@ -409,6 +409,17 @@ def test_evaluate_task(model_file, tmp_path):
     assert "risk_value[+gamma]" in read(out / "report.txt")
 
 
+@pytest.mark.parametrize("task", ["evaluate", "verify", "solve-average", "ldp-check"])
+@pytest.mark.parametrize("k", [2**63 - 8, 2**63 - 1, 2**63])
+def test_a_window_past_int64_exits_0(model_file, tmp_path, capsys, task, k):
+    # k + horizon leaves int64; the window is read in Python ints, never as a traceback
+    out = tmp_path / "far"
+    assert main([task, "--model", model_file, "--schedule", "hyperbolic:1,1", "--k", str(k),
+                 "--horizons", "10,100", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert os.path.exists(out / "report.txt")
+
+
 def test_sweep_gamma_task(model_file, tmp_path):
     out = tmp_path / "sw"
     assert main(["sweep-gamma", "--model", model_file, "--gammas=-0.5,0.5", "--out", str(out)]) == 0

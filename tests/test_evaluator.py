@@ -63,6 +63,18 @@ def test_time_varying_policy_hand_computation(two_action_model, unit):
     assert res.value == pytest.approx((step0 + step1) / 2.0, abs=1e-14)
 
 
+def test_a_window_past_int64_plays_the_clamped_rows(two_action_model, unit):
+    # k + n runs past 2**63 - 1: every step plays the last row, as from k = 0 under that row alone
+    k = 2**63 - 5
+    pol = TimeVaryingPolicy(0, [StationaryPolicy([0, 0]), StationaryPolicy([1, 0])])
+    res = exact_discounted_value(two_action_model, pol, unit, k, 10, 1)
+    assert res.value == exact_discounted_value(two_action_model, StationaryPolicy([1, 0]), unit, 0, 10, 1).value
+    # a window before a late start plays the first row throughout
+    late = TimeVaryingPolicy(k, [StationaryPolicy([1, 1]), StationaryPolicy([0, 0])])
+    res = exact_discounted_value(two_action_model, late, unit, 0, 10, 1)
+    assert res.value == exact_discounted_value(two_action_model, StationaryPolicy([1, 1]), unit, 0, 10, 1).value
+
+
 def test_unit_schedule_matches_plain_average(reference_model, reference_policy, unit):
     # the undiscounted truncation is the plain running mean of expected rewards
     n = 23

@@ -226,6 +226,16 @@ def _tiny_entries(mixed: bool) -> Model:
     return Model(g, np.zeros((3, 2)))
 
 
+def _float32_subnormals(mixed: bool) -> Model:
+    # entries from 1e-45 to 1e-38, float32 subnormals; unmixed, the coefficient comes only from them
+    rng = np.random.default_rng(5)
+    g = np.tile([0.25, 0.25, 0.5, 0.0, 0.0], (2, 5, 1))
+    g[:, :, 3:] = 10.0 ** rng.uniform(-45.0, -38.0, (2, 5, 2))
+    if mixed:
+        g[1, 4] = [0.1, 0.6, 0.3 - 2e-39, 3e-45, 2e-39]
+    return Model(g, np.zeros((5, 2)))
+
+
 def _small_integer_weights(seed: int) -> Model:
     # rows of equal mass whose two orders of a pair round apart
     g = np.random.default_rng(seed).integers(1, 20, (2, 6, 6)).astype(float)
@@ -258,6 +268,8 @@ def pair_block(request, monkeypatch):
         _rows_apart_by(1e-15),
         _tiny_entries(mixed=False),
         _tiny_entries(mixed=True),
+        _float32_subnormals(mixed=False),
+        _float32_subnormals(mixed=True),
         _off_unit_sums(+1.0),
         _off_unit_sums(-1.0),
         _small_integer_weights(2),
@@ -273,8 +285,8 @@ def pair_block(request, monkeypatch):
         Model(np.asfortranarray(_off_unit_sums(1.0).kernel), np.zeros((12, 3))),
     ],
     ids=["deterministic", "deterministic-1-action", "identity", "identical-rows", "apart-1e-9", "apart-1e-15",
-         "tiny-entries", "tiny-entries-mixed", "sums-above-1", "sums-below-1", "integer-weights-2",
-         "integer-weights-3", "1x1", "1-state-3-actions",
+         "tiny-entries", "tiny-entries-mixed", "float32-subnormals", "float32-subnormals-mixed", "sums-above-1",
+         "sums-below-1", "integer-weights-2", "integer-weights-3", "1x1", "1-state-3-actions",
          "1-action", "partial-block", "fortran-1-action", "transposed-1-action",
          "fortran-3-actions"],
 )
@@ -286,6 +298,60 @@ def test_ergodicity_coefficient_special_values():
     assert ergodicity_coefficient(_deterministic(30, 3, 1)) == 1.0
     assert ergodicity_coefficient(_tiny_entries(mixed=False)) == 3e-300
     assert 0.0 < ergodicity_coefficient(_rows_apart_by(1e-9)) < 3e-9
+
+
+def _adversarial_rows(s: int, seed: int) -> np.ndarray:
+    """Rows of length s: small integer weights, sums 1 +- 0.9e-12, float32
+    subnormals, entries that float32 rounds by almost half an ulp, and
+    rows a few float32 ulps apart."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 20, (6, s)).astype(float)
+    weights /= weights.sum(axis=1, keepdims=True)
+    off = rng.random((6, s))
+    off /= off.sum(axis=1, keepdims=True)
+    off *= 1.0 + 0.9e-12 * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
+    tiny = rng.random((4, s))
+    tiny[:, 1::2] = 10.0 ** rng.uniform(-45.0, -38.0, (4, tiny[:, 1::2].shape[1]))
+    tiny /= tiny.sum(axis=1, keepdims=True)
+    # just below the midpoint between two float32 values: rounding moves each entry by about u32
+    scale = 2.0 ** -(rng.integers(1, 5, (2, s)) + math.ceil(math.log2(s)))
+    half = (1.0 + 2.0**-24 - 2.0**-40) * scale
+    half[:, -1] = 0.0
+    half[:, -1] = 1.0 - half.sum(axis=1)
+    near = np.abs(half[:1] + 2.0**-23 * rng.integers(-3, 4, (2, s)) * half[:1])
+    near /= near.sum(axis=1, keepdims=True)
+    return np.vstack([weights, off, tiny, half, near])
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 64, 301])
+def test_the_screen_lies_within_its_margin_of_both_orders(s):
+    rows = _adversarial_rows(s, s)
+    n = len(rows)
+    # rows that Model admits
+    assert (rows >= 0.0).all() and np.abs(rows.sum(axis=1) - 1.0).max() <= longrun.model.ROW_SUM_TOL
+    mins, sums = np.empty(n * n * s, np.float32), np.empty(n * n, np.float32)
+    v = longrun.model._screen_values(rows.astype(np.float32), rows.astype(np.float32), rows.sum(axis=1),
+                                     rows.sum(axis=1), mins, sums)
+    t = longrun.model._positive_part_sums(rows[:, None, :], rows[None, :, :], np.empty(n * n * s), np.empty(n * n))
+    bound = longrun.model._screen_margin(s) / 2.0
+    assert np.abs(v - t).max() <= bound and np.abs(v - t.T).max() <= bound
+    # and the bound is not vacuous
+    assert bound < 2e-7 * max(s, 2)
+
+
+def test_the_screen_rechecks_few_rows(monkeypatch):
+    # a margin that kept every pair would recheck all 800 rows against their partners
+    model = gen_model({"n_states": 200, "n_actions": 4, "min_entry": 0.001, "seed": 7})
+    rechecked = []
+    original = longrun.model._positive_part_sums
+
+    def counting(a, b, diff, sums):
+        rechecked.append(a.shape[0])
+        return original(a, b, diff, sums)
+
+    monkeypatch.setattr(longrun.model, "_positive_part_sums", counting)
+    ergodicity_coefficient(model)
+    assert 2 <= sum(rechecked) <= 40
 
 
 def test_ergodicity_coefficient_on_single_row_blocks():
