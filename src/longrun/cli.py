@@ -177,7 +177,7 @@ def parse_schedule_arg(text: str) -> dict:
     if text.startswith("{"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ConfigError(f"bad schedule JSON: {exc}") from exc
     if text == "unit":
         return {"family": "unit"}
@@ -548,7 +548,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, or nesting too deep
             raise ConfigError(f"bad config JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("configuration must be a JSON object")

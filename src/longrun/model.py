@@ -25,6 +25,7 @@ import functools
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -708,12 +709,49 @@ def save_model(model: Model, path) -> None:
         fh.write("\n")
 
 
+# orjson builds the parsed document by one C call, about 100 bytes of stack,
+# per nesting level: tens of thousands of levels overflow the C stack (a
+# segfault, not an exception).  A model has 4 levels; 1000 need about 100 KB.
+_MAX_NESTING = 1000
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'"\\[]{}')))
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+
+
+def _nesting_depth(text: bytes) -> int:
+    """Deepest nesting of [ and { outside strings, exact for valid JSON text.
+
+    The text is cut to its quotes, backslashes and brackets in one C pass;
+    only when an escape is present are the strings removed from the whole
+    text, as an escaped quote does not end a string.
+    """
+    marks = text.translate(None, _NOT_MARKS)
+    if b"\\" in marks:
+        marks = _JSON_STRING.sub(b"", text).translate(None, _NOT_MARKS)
+    codes = np.frombuffer(re.sub(rb'"[^"]*"', b"", marks), dtype=np.uint8)
+    steps = np.where((codes == ord("[")) | (codes == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
+
+
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # json.JSONDecodeError, or a file that is not UTF-8
-            raise InvalidModel(f"model file is not valid JSON: {exc}") from exc
+    """Read a model file with orjson, the one model-file parser.
+
+    The file is strict RFC 8259 JSON in UTF-8: NaN/Infinity literals, a byte
+    order mark, malformed text, bytes that are not UTF-8 and nesting deeper
+    than _MAX_NESTING raise InvalidModel, as does any document
+    model_from_dict refuses.  Floats are parsed correctly rounded, so every
+    value equals the stdlib json reading bit for bit.
+    """
+    import orjson  # here, not at module level: its import (about 8 ms) stays off runs that read no model file
+
+    with open(path, "rb") as fh:
+        text = fh.read()
+    depth = _nesting_depth(text)
+    if depth > _MAX_NESTING:
+        raise InvalidModel(f"model file nests {depth} levels deep, more than {_MAX_NESTING}; a model has 4")
+    try:
+        data = orjson.loads(text)
+    except ValueError as exc:  # orjson.JSONDecodeError, also for bytes that are not UTF-8
+        raise InvalidModel(f"model file is not valid JSON: {exc}") from exc
     return model_from_dict(data)
 
 

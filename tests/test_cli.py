@@ -15,6 +15,9 @@ from longrun.errors import CheckFailed, ConfigError
 from longrun.ldp import MarginReport
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -22,12 +25,40 @@ def read(path):
 
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the package and its CLI run on numpy
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = "import longrun, sys; print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_orjson_is_imported_only_to_read_a_model_file(tmp_path):
+    # its import (about 8 ms) stays off `import longrun` and gen-model, which read no model file
+    code = (
+        "import sys, longrun, longrun.cli\n"
+        "seen = ['orjson' in sys.modules]\n"
+        "assert longrun.cli.main(['gen-model', '--states', '3', '--out', sys.argv[1]]) == 0\n"
+        "seen.append('orjson' in sys.modules)\n"
+        "longrun.load_model(sys.argv[1] + '/model.json')\n"
+        "seen.append('orjson' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": SRC},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+
+
+def test_a_deeply_nested_model_file_exits_2(tmp_path):
+    # orjson overflows the C stack on such files; load_model refuses them before it parses
+    for name, text in (("lists", "[" * 1_000_000 + "]" * 1_000_000),
+                       ("objects", '{"a": ' * 100_000 + "1" + "}" * 100_000),
+                       ("mixed", '[{"a": ' * 100_000 + "1" + "}]" * 100_000)):
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+        out = subprocess.run([sys.executable, "-m", "longrun.cli", "solve-average", "--model",
+                              str(tmp_path / f"{name}.json"), "--out", str(tmp_path / "o")],
+                             env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+        assert out.returncode == 2, name
+        assert "levels deep" in out.stderr and "Traceback" not in out.stderr
 
 
 # ------------------------------------------------------------------ gen-model
@@ -92,6 +123,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, model_file):
     assert main(["verify", "--config", str(cfg)]) == 2
     cfg.write_bytes(b'{"gamma": "\xff"}')  # not UTF-8
     assert main(["verify", "--config", str(cfg)]) == 2
+    # nesting past the stdlib parser's recursion limit is a usage error, not a RecursionError traceback
+    cfg.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert main(["solve-average", "--schedule", '{"h": ' + "[" * 100_000, "--model", model_file,
+                 "--out", str(tmp_path / "o")]) == 2
     # an empty list flag is refused, not read as the default
     for flag in ("--gammas=a,b", "--horizons=1,x", "--gammas=", "--horizons="):
         assert main(["sweep-gamma", flag, "--out", str(tmp_path)]) == 2
@@ -178,6 +214,14 @@ def test_missing_model_exits_2(tmp_path, capsys):
         # a declared size is an integer, not a number that int() truncates to one
         '{"n_states": 2.5, "n_actions": 1, "kernel": [[[0.5, 0.5], [0.5, 0.5]]], "reward": [[1.0], [0.0]]}',
         "{not json",
+        "[" * 100_000,
+        # model files are strict JSON: no NaN or Infinity literal, no byte order mark
+        '{"n_states": 2, "n_actions": 1, "kernel": [[[0.5, 0.5], [0.5, 0.5]]], "reward": [[NaN], [0.0]]}',
+        '{"n_states": 2, "n_actions": 1, "kernel": [[[0.5, 0.5], [0.5, 0.5]]], "reward": [[Infinity], [0.0]]}',
+        '\ufeff{"n_states": 2, "n_actions": 1, "kernel": [[[0.5, 0.5], [0.5, 0.5]]], "reward": [[1.0], [0.0]]}',
+        # an integer past 64 bits is read as a float, which no size is
+        '{"n_states": 18446744073709551616, "n_actions": 1, "kernel": [[[0.5, 0.5], [0.5, 0.5]]],'
+        ' "reward": [[1.0], [0.0]]}',
     ):
         bad.write_text(text, encoding="utf-8")
         assert main(["solve-average", "--model", str(bad), "--out", str(tmp_path)]) == 2

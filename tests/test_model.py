@@ -872,6 +872,89 @@ def test_model_roundtrip(tmp_path, two_action_model):
     assert text == json.dumps(model_to_dict(two_action_model), indent=2, sort_keys=True) + "\n"
 
 
+def _random_float_literals(rng, count: int) -> list:
+    """count finite floats of random bit patterns, written alternately as %.17g and repr."""
+    bits = rng.integers(0, 2**64, size=4 * count, dtype=np.uint64)
+    values = [v for v in bits.view(np.float64).tolist() if math.isfinite(v)][:count]
+    return [repr(v) if i % 2 else "%.17g" % v for i, v in enumerate(values)]
+
+
+def _document(kernel: list, reward: list) -> str:
+    """A model document from nested lists of number literals."""
+    def array(x):
+        return "[" + ", ".join(map(array, x)) + "]" if isinstance(x, list) else x
+
+    sizes = f'"n_states": {len(reward)}, "n_actions": {len(reward[0])}'
+    return f'{{{sizes}, "kernel": {array(kernel)}, "reward": {array(reward)}}}'
+
+
+def _literal_documents() -> list:
+    """Documents of hand-picked hard decimals: subnormals, -0.0, 17 and 25 digits, exponents near +-308."""
+    edge = ["5e-324", "-5e-324", "2.4703282292062328e-324", "2.4703282292062327e-324", "2.2250738585072009e-308",
+            "2.2250738585072014e-308", "1e-307", "-0.0", "0.0", "1e308", "9.99999999999999999999999e307",
+            "1.7976931348623157e308", "-1.7976931348623157e308", "0.1000000000000000055511151231257827",
+            "0.3333333333333333333333333", "1.0000000000000002220446049250313", "12345678901234567890123456789e-300"]
+    rows = [["5e-324", "1.0"], ["-0.0", "1.0"], ["0.33333333333333331", "0.66666666666666674"],
+            ["0.3333333333333333333333333", "0.6666666666666666666666667"],
+            ["0.1000000000000000055511151231257827", "0.8999999999999999944488848768742173"],
+            ["2.2250738585072014e-308", "0.99999999999999999999999999"]]
+    random = _random_float_literals(np.random.default_rng(27), 400)
+    docs = [_document([[row, row]], [[edge[i]], [edge[-1 - i]]]) for i, row in enumerate(rows)]
+    # one state, one action per value: every literal lands in the reward table
+    docs += [_document([[["1.0"]]] * len(values), [values]) for values in (edge, random)]
+    return docs
+
+
+@pytest.mark.parametrize("source", ["gen_model", "literals"])
+def test_load_model_reads_the_floats_of_the_stdlib_parser(tmp_path, source):
+    # load_model parses with orjson; every kernel and reward entry must be the
+    # float the stdlib json module reads, bit for bit
+    if source == "gen_model":
+        texts = []
+        for seed, (s, a, min_entry) in enumerate([(3, 2, 0.05), (17, 3, 0.001), (40, 4, 1e-9)]):
+            save_model(gen_model({"n_states": s, "n_actions": a, "min_entry": min_entry, "seed": seed}),
+                       tmp_path / "m.json")
+            texts.append((tmp_path / "m.json").read_text(encoding="utf-8"))
+    else:
+        texts = _literal_documents()
+    for text in texts:
+        (tmp_path / "m.json").write_text(text, encoding="utf-8")
+        got, want = load_model(tmp_path / "m.json"), model_from_dict(json.loads(text))
+        assert np.array_equal(got.kernel.view(np.uint64), want.kernel.view(np.uint64))
+        assert np.array_equal(got.reward.view(np.uint64), want.reward.view(np.uint64))
+
+
+@pytest.mark.parametrize("text", [
+    '{"n_states": 1, "n_actions": 1, "kernel": [[[1.0]]], "reward": [[NaN]]}',
+    '{"n_states": 1, "n_actions": 1, "kernel": [[[1.0]]], "reward": [[-Infinity]]}',
+    '\ufeff{"n_states": 1, "n_actions": 1, "kernel": [[[1.0]]], "reward": [[0.0]]}',
+    '{"n_states": 1, "n_actions": 1, "kernel": [[[1.0]]], "reward": [[0.0]]',
+])
+def test_load_model_reads_strict_json(tmp_path, text):
+    (tmp_path / "m.json").write_text(text, encoding="utf-8")
+    with pytest.raises(InvalidModel, match="not valid JSON"):
+        load_model(tmp_path / "m.json")
+
+
+@pytest.mark.parametrize("text, depth", [
+    ("", 0), ("1", 0), ("[]", 1), ('{"a": [[1], {"b": []}]}', 4), ('"[[[["', 0), ('["]]]]", [[]]]', 3),
+    ('{"a\\": [[1]]}', 3), ('{"a\\\"[[[": [[1]]}', 3), ('["\\\\", "\\u005b[", [["\\"]]]', 3),
+])
+def test_nesting_depth_skips_strings(text, depth):
+    assert longrun.model._nesting_depth(text.encode()) == depth
+
+
+def test_load_model_refuses_nesting_past_the_limit(tmp_path):
+    limit = longrun.model._MAX_NESTING
+    for inner in ("[" * limit + "]" * limit, '[{"a": ' * (limit // 2) + "1" + "}]" * (limit // 2)):
+        (tmp_path / "m.json").write_text(inner, encoding="utf-8")
+        with pytest.raises(InvalidModel, match="must be a JSON object"):  # parsed, then refused as a model
+            load_model(tmp_path / "m.json")
+        (tmp_path / "m.json").write_text("[" + inner + "]", encoding="utf-8")
+        with pytest.raises(InvalidModel, match=f"nests {limit + 1} levels deep"):
+            load_model(tmp_path / "m.json")
+
+
 def test_model_dict_rejects_unknown_fields(reference_model):
     data = model_to_dict(reference_model)
     data["extra"] = 1
