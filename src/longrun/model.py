@@ -22,7 +22,6 @@ gamma reads it there, once, before any other work.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 import re
@@ -523,16 +522,17 @@ def _screen_margin(s: int) -> float:
 
 
 def _screen_values(a: np.ndarray, b: np.ndarray, ra: np.ndarray, rb: np.ndarray, mins: np.ndarray,
-                   sums: np.ndarray) -> np.ndarray:
+                   sums: np.ndarray, ones: np.ndarray) -> np.ndarray:
     """The float64 (len(a), len(b)) block of screen values max(ra_i, rb_j) -
     M_ij for float32 rows a, b with float64 row sums ra, rb, where M_ij is
     the float32 sum of min(a_i, b_j), computed in the reused float32 buffers
-    mins and sums: one elementwise pass and one BLAS matrix-vector product."""
+    mins and sums: one elementwise pass and one BLAS matrix-vector product
+    with ones, a float32 vector of len(a[0]) ones."""
     shape = (a.shape[0], b.shape[0], a.shape[1])
     d = mins[: math.prod(shape)].reshape(shape)
     t = sums[: shape[0] * shape[1]]
     np.minimum(a[:, None, :], b[None, :, :], out=d)
-    np.matmul(d.reshape(-1, shape[2]), np.ones(shape[2], np.float32), out=t)
+    np.matmul(d.reshape(-1, shape[2]), ones, out=t)
     return np.maximum(ra[:, None], rb[None, :]) - t.reshape(shape[:2])
 
 
@@ -584,13 +584,15 @@ def ergodicity_coefficient(model: Model) -> float:
     diff = np.empty(max(_PAIR_BLOCK, n * s))
     sums = np.empty(max(_PAIR_BLOCK // s, n))
     diff32, sums32 = np.empty(diff.size, np.float32), np.empty(sums.size, np.float32)
+    ones32 = np.ones(s, np.float32)
     margin = _screen_margin(s)
     best = top = 0.0
     lo = 0
     while lo < n:
         w = n - lo
         m = min(w, max(1, _PAIR_BLOCK // (w * s)))
-        v = _screen_values(screen[lo : lo + m], screen[lo:], row_sums[lo : lo + m], row_sums[lo:], diff32, sums32)
+        v = _screen_values(screen[lo : lo + m], screen[lo:], row_sums[lo : lo + m], row_sums[lo:], diff32, sums32,
+                           ones32)
         top = max(top, float(v.max()))
         keep = v >= top - 2.0 * margin
         if keep.any():
@@ -703,10 +705,34 @@ def model_from_dict(data: dict) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    """Write the model as JSON: sorted keys, two-space indent, "\n" newlines."""
+    """Write the model as JSON: sorted keys, two-space indent, "\n" newlines.
+
+    The bytes are exactly json.dump(model_to_dict(model), fh, indent=2,
+    sort_keys=True) followed by "\n", streamed one kernel or reward row at a
+    time: any indent sends the stdlib through its pure-Python encoder, and a
+    whole document in memory would be as large as the file.  Each number is
+    float.__repr__, the stdlib's text for a finite float, and Model admits
+    only finite entries.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write('{\n  "kernel": [')
+        for a, table in enumerate(model.kernel):
+            fh.write(("," if a else "") + "\n    [")
+            _write_rows(fh, table, "\n      ")
+            fh.write("\n    ]")
+        fh.write(f'\n  ],\n  "n_actions": {model.n_actions},\n  "n_states": {model.n_states},\n  "reward": [')
+        _write_rows(fh, model.reward, "\n    ")
+        fh.write("\n  ]\n}\n")
+
+
+def _write_rows(fh, rows: np.ndarray, indent: str) -> None:
+    """Write the rows of a 2-d float array, each as one fh.write, as the
+    items of a JSON array at indent ("\n" and its spaces), their numbers two
+    spaces deeper: the layout of json.dump with indent=2."""
+    inner = indent + "  "
+    for x, row in enumerate(rows):
+        fh.write(("," if x else "") + indent + "[" + inner + ("," + inner).join(map(float.__repr__, row.tolist()))
+                 + indent + "]")
 
 
 # orjson builds the parsed document by one C call, about 100 bytes of stack,

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -331,7 +333,7 @@ def test_the_screen_lies_within_its_margin_of_both_orders(s):
     assert (rows >= 0.0).all() and np.abs(rows.sum(axis=1) - 1.0).max() <= longrun.model.ROW_SUM_TOL
     mins, sums = np.empty(n * n * s, np.float32), np.empty(n * n, np.float32)
     v = longrun.model._screen_values(rows.astype(np.float32), rows.astype(np.float32), rows.sum(axis=1),
-                                     rows.sum(axis=1), mins, sums)
+                                     rows.sum(axis=1), mins, sums, np.ones(s, np.float32))
     t = longrun.model._positive_part_sums(rows[:, None, :], rows[None, :, :], np.empty(n * n * s), np.empty(n * n))
     bound = longrun.model._screen_margin(s) / 2.0
     assert np.abs(v - t).max() <= bound and np.abs(v - t.T).max() <= bound
@@ -870,6 +872,66 @@ def test_model_roundtrip(tmp_path, two_action_model):
     # sorted keys, two-space indent and "\n" newlines on every platform
     text = path.read_bytes().decode("utf-8")
     assert text == json.dumps(model_to_dict(two_action_model), indent=2, sort_keys=True) + "\n"
+
+
+# floats at the switches of repr's notation (1e-05, 9.99e-05, 1e+16), the
+# least subnormal, -0.0 and 17-digit values
+_EDGE_PROBABILITIES = [-0.0, 0.0, 5e-324, 1e-05, 9.99e-05, 0.0001, 0.30000000000000004, 0.12345678901234568]
+_EDGE_REWARDS = _EDGE_PROBABILITIES + [1.0, 1e16, 9999999999999998.0, 1e300, -1e300, -2.2250738585072014e-308,
+                                       1.7976931348623157e308, 1.2345678901234567e-200]
+
+
+@st.composite
+def _edge_models(draw):
+    """1-6 states and 1-3 actions; each kernel row takes edge or arbitrary
+    entries below 1/6, and one entry drawn per row makes up the rest of 1."""
+    s, a = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    probability = st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0 / 6.0))
+    kernel = np.array(draw(st.lists(probability, min_size=a * s * s, max_size=a * s * s))).reshape(a, s, s)
+    for row, rest in zip(kernel.reshape(-1, s), draw(st.lists(st.integers(0, s - 1), min_size=a * s, max_size=a * s))):
+        row[rest] = 0.0
+        row[rest] = 1.0 - row.sum()
+    reward = st.one_of(st.sampled_from(_EDGE_REWARDS), st.floats(allow_nan=False, allow_infinity=False))
+    return Model(kernel, np.array(draw(st.lists(reward, min_size=s * a, max_size=s * a))).reshape(s, a))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(model=_edge_models())
+def test_save_model_writes_the_bytes_of_the_stdlib_json(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("save") / "model.json"
+    save_model(model, path)
+    want = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_save_model_streams_rows(tmp_path):
+    # json.dump with an indent peaks at 5.0 MB on this 4.9 MB file; a writer
+    # that built the whole document first would peak near the file's size
+    model = gen_model({"n_states": 200, "n_actions": 4, "min_entry": 0.001, "seed": 369571992})
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        save_model(model, tmp_path / "model.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("spec, digest", [
+    # the README model
+    (("3", "2", "0.05", "7"), "6e854c8ff588b625115e5bcf2cc307cd7d1130ee93651e253495aadd55282f80"),
+    # perfbench's solve-large model at seed 7
+    (("200", "4", "0.001", "369571992"), "92580c06d3a80b67e553e6f6a252d85b37993c98840c71a598deac823929e685"),
+])
+def test_gen_model_files_are_pinned(tmp_path, spec, digest):
+    # digests of the stdlib's json.dump(indent=2, sort_keys=True) output plus "\n"
+    states, actions, min_entry, seed = spec
+    argv = ["gen-model", "--states", states, "--actions", actions, "--min-entry", min_entry, "--seed", seed]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == digest
 
 
 def _random_float_literals(rng, count: int) -> list:
