@@ -32,8 +32,8 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_orjson_is_imported_only_to_read_a_model_file(tmp_path):
-    # its import (about 8 ms) stays off `import longrun` and gen-model, which read no model file
+def test_orjson_is_imported_only_to_read_or_write_a_model_file(tmp_path):
+    # its import (about 8 ms) stays off `import longrun`; gen-model writes its file with it
     code = (
         "import sys, longrun, longrun.cli\n"
         "seen = ['orjson' in sys.modules]\n"
@@ -45,7 +45,7 @@ def test_orjson_is_imported_only_to_read_a_model_file(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env={**os.environ, "PYTHONPATH": SRC},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[False, False, True]"
+    assert out.stdout.splitlines()[-1] == "[False, True, True]"
 
 
 def test_a_deeply_nested_model_file_exits_2(tmp_path):
@@ -104,7 +104,33 @@ def test_gen_model_cli_writes_identical_files(tmp_path):
     assert mdl.n_states == 3
 
 
+@pytest.mark.parametrize("sizes", [["--states", "0", "--actions", "2"], ["--states", "3", "--actions", "0"],
+                                   ["--states", "0"], ["--actions", "0"]])
+def test_gen_model_refuses_a_zero_size_with_exit_2(tmp_path, capsys, sizes):
+    # a size given as 0 is refused, not replaced by its default
+    assert main(["gen-model", *sizes, "--out", str(tmp_path / "g")]) == 2
+    assert "generator needs at least one state and one action" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 # ------------------------------------------------------------------- parsing
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], *([task, "--help"] for task in longrun.cli.TASKS),
+    [], ["nope"], ["solve-average", "--bogus"], ["--bogus", "solve-risk", "--gamma", "0.5"],
+    ["--", "gen-model", "--states", "x"], ["-1", "gen-model"], ["evaluate", "--out", "gen-model", "--horizon"],
+])
+def test_the_parser_prints_the_text_of_the_parser_with_every_task_filled(capsys, argv):
+    # main fills only the invoked task's subparser with flags: its help,
+    # usage and errors are those of the parser that fills all seven
+    code = main(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        longrun.cli._build_parser().parse_args(argv)
+    want = capsys.readouterr()
+    assert (code, got.out, got.err) == ((2 if exc.value.code else 0), want.out, want.err)
+    assert got.out or got.err
 
 
 def test_parse_schedule_arg():

@@ -186,8 +186,14 @@ def test_ergodicity_coefficient_bitwise_matches_pair_loop():
         for i in range(rows.shape[0]):
             for j in range(rows.shape[0]):
                 best = max(best, float(np.clip(rows[i] - rows[j], 0, None).sum()))
-        assert ergodicity_coefficient(m) == best
-        assert m.ergodicity == best
+        got = ergodicity_coefficient(m)
+        assert got == best, _bitwise_message(got, best)
+        assert m.ergodicity == best, _bitwise_message(m.ergodicity, best)
+
+
+def _bitwise_message(got: float, want: float) -> str:
+    """Both values in hex and the row-pair block size in force, to diagnose a mismatch."""
+    return f"coefficient {float(got).hex()}, pair loop {float(want).hex()}, _PAIR_BLOCK {longrun.model._PAIR_BLOCK}"
 
 
 def pair_loop_max(m: Model) -> float:
@@ -293,7 +299,8 @@ def pair_block(request, monkeypatch):
          "fortran-3-actions"],
 )
 def test_ergodicity_coefficient_equals_the_pair_loop_bitwise(model, pair_block):
-    assert ergodicity_coefficient(model) == pair_loop_max(model)
+    got, want = ergodicity_coefficient(model), pair_loop_max(model)
+    assert got == want, _bitwise_message(got, want)
 
 
 def test_ergodicity_coefficient_special_values():
@@ -902,6 +909,42 @@ def test_save_model_writes_the_bytes_of_the_stdlib_json(tmp_path_factory, model)
     save_model(model, path)
     want = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == want.encode("utf-8")
+
+
+# the bounds of the rows _write_rows prints with orjson, entries 0 or of
+# magnitude in [1e-4, 1e16), the floats on both sides of them, and
+# subnormal, least normal and huge entries
+_RANGE_EDGES = [9.999999999999999e-05, 1e-4, 1.0000000000000001e-04, 9999999999999998.0, 1e16, -0.0, 5e-324,
+                2.2250738585072014e-308, 1e300]
+
+
+@pytest.mark.parametrize("other", [0.5, 1e-05, -0.0, 1e16])
+@pytest.mark.parametrize("value", _RANGE_EDGES)
+def test_save_model_writes_rows_across_the_orjson_range_as_the_stdlib_json(tmp_path, value, other):
+    # reward rows of the value alone and beside other, an entry in the range,
+    # below it, zero or above it; kernel rows hold the value where it is a probability
+    p = value if 0.0 <= value < 0.5 else 0.25
+    kernel = np.tile([[p, 0.5, 0.5 - p], [0.5, 0.5 - p, p], [1.0, 0.0, 0.0]], (2, 1, 1))
+    model = Model(kernel, np.array([[value, value], [value, other], [other, value]]))
+    save_model(model, tmp_path / "model.json")
+    want = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "model.json").read_bytes() == want.encode("utf-8")
+
+
+def test_orjson_prints_the_repr_of_doubles_in_its_range():
+    # _write_rows prints a row with orjson when every entry is 0 or of
+    # magnitude in [1e-4, 1e16): random bit patterns with binary exponents
+    # -14..53, uniform [0, 1) values and log-uniform [1e-4, 1e16) values
+    import orjson
+
+    rng = np.random.default_rng(29)
+    exponents = rng.integers(1023 - 14, 1023 + 54, size=70_000, dtype=np.uint64) << np.uint64(52)
+    bits = rng.integers(0, 2**64, size=70_000, dtype=np.uint64) & ~np.uint64(0x7FF << 52) | exponents
+    values = np.concatenate([bits.view(np.float64), rng.random(70_000), 10.0 ** rng.uniform(-4.0, 16.0, 70_000)])
+    mag = np.abs(values)
+    values = values[(mag >= 1e-4) & (mag < 1e16)].tolist()
+    assert len(values) > 200_000
+    assert orjson.dumps(values).decode("ascii")[1:-1].split(",") == list(map(float.__repr__, values))
 
 
 def test_save_model_streams_rows(tmp_path):
