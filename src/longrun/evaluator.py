@@ -37,6 +37,8 @@ CHECK_SLACK = 1e-12
 _U = 2.0 ** -53
 # at most this many draws, states times replicates, or floats of z per block
 _SIM_BLOCK = 1 << 20
+# at most this many floats of step kernels gathered at once by _forward (512 KB)
+_GATHER_FLOATS = 1 << 16
 # at most this many action-table entries (size x slices x states) per policy
 # panel, the path enumeration's budget: 1 GB of int64 actions
 _PANEL_ENTRIES = 1 << 27
@@ -104,13 +106,18 @@ def _forward(model: Model, actions: np.ndarray, x: np.ndarray, tilt: np.ndarray)
     z = np.empty((B, n, s))
     shift = np.empty((B, n))
     mass = np.eye(s)[x, None]
+    # the step kernels are gathered a run of steps at a time; each step reads
+    # the same (B, s, s) rows, so the products are the same gemv calls
+    chunk = max(1, _GATHER_FLOATS // (B * s * s))
     with np.errstate(divide="ignore"):
         for j in range(n):
             e = np.log(mass[:, 0]) + tilt[:, j]
             shift[:, j] = e.max(axis=1)
             z[:, j] = np.exp(e - shift[:, j, None])
             if j < n - 1:
-                mass = np.matmul(z[:, j, None], model.kernel[actions[:, j], states])
+                if j % chunk == 0:
+                    kernels = model.kernel[actions[:, j:min(j + chunk, n - 1)], states]
+                mass = np.matmul(z[:, j, None], kernels[:, j % chunk])
     return z, np.cumsum(shift, axis=1)
 
 

@@ -204,6 +204,10 @@ def _perron_bracket(Q: np.ndarray, tol: float, max_iter: int = 1_000_000, classe
     is _communicating_classes of a matrix with Q's zero pattern."""
     if classes is None:
         classes = _communicating_classes(Q)
+    if len(classes) == 1 and Q.flags.c_contiguous:
+        # the one class is Q itself; an F-ordered Q keeps the C-ordered copy,
+        # since the gemv's bits depend on the layout
+        return _collatz_wielandt(Q, tol, max_iter)
     brackets = [_collatz_wielandt(Q[np.ix_(k, k)], tol, max_iter) for k in classes]
     return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
 
@@ -230,16 +234,25 @@ def _collatz_wielandt(Q: np.ndarray, tol: float, max_iter: int = 1_000_000) -> t
     v, so both hold at every step.  Each step multiplies by Q + (hi / 4) I,
     which converges for periodic irreducible Q too; stops once
     hi - lo <= tol hi, a relative gap however small rho(Q) is.
+
+    Only the arithmetic whose bits numpy decides stays in numpy: the gemv
+    Q.dot(v), the elementwise steps and the sum.  lo and hi are the builtin
+    min and max of the ratios as a list, exact as numpy's reductions are, so
+    the floats are the same without two more numpy calls per step.  Unlike
+    numpy's, the builtins skip a NaN ratio or return it depending on where it
+    sits, so the stop also refuses any NaN ratio, as numpy's NaN-propagating
+    min and max never stopped on one.
     """
     v = np.ones(Q.shape[0]) / Q.shape[0]
+    dot, total = Q.dot, np.add.reduce
     for _ in range(max_iter):
-        qv = Q @ v
-        ratios = qv / v
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * hi:
+        qv = dot(v)
+        ratios = (qv / v).tolist()
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= tol * hi and not any(map(math.isnan, ratios)):
             return lo, hi
-        qv += 0.25 * hi * v
-        v = qv / qv.sum()
+        qv += (0.25 * hi) * v
+        v = qv / total(qv)
     raise NoConvergence("power iteration did not bracket the Perron root")
 
 

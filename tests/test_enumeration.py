@@ -12,7 +12,8 @@ masses.  Two references check it:
   within (n - 1)(u + delta) Q* + u Q.
 
 The communicating classes of the Perron bracket are checked the same way
-against the full squaring."""
+against the full squaring, and its Collatz-Wielandt loop bit for bit against
+a copy of the all-numpy loop it replaced."""
 
 import gc
 import math
@@ -37,7 +38,7 @@ from longrun import (
     ldp_upper_bound_check,
     phi_partial_sum,
 )
-from longrun import ldp, risk_solver
+from longrun import NoConvergence, ldp, risk_solver
 from longrun.risk_solver import _collatz_wielandt, _perron_bracket
 
 from conftest import deviation_kernel, random_model
@@ -544,15 +545,75 @@ def test_guard_raises_before_any_search(monkeypatch):
         ldp_upper_bound_check(P, np.array([2.0, 1.0, 1.0]), 0.02, UnitSchedule(), 0, [21])
 
 
-# ------------------------------------------------ communicating classes
+# ------------------------------------ communicating classes and the bracket
+
+
+def reference_collatz_wielandt(Q, tol, max_iter=1_000_000):
+    """The Collatz-Wielandt loop as it was with numpy's min and max, verbatim."""
+    v = np.ones(Q.shape[0]) / Q.shape[0]
+    for _ in range(max_iter):
+        qv = Q @ v
+        ratios = qv / v
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol * hi:
+            return lo, hi
+        qv += 0.25 * hi * v
+        v = qv / qv.sum()
+    raise NoConvergence("power iteration did not bracket the Perron root")
 
 
 def reference_perron_bracket(Q, tol):
     reach = (Q > 0.0) | np.eye(Q.shape[0], dtype=bool)
     for _ in range(math.ceil(math.log2(Q.shape[0]))):
         reach = reach @ reach
-    brackets = [_collatz_wielandt(Q[np.ix_(k, k)], tol) for k in np.unique(reach & reach.T, axis=0)]
+    brackets = [reference_collatz_wielandt(Q[np.ix_(k, k)], tol) for k in np.unique(reach & reach.T, axis=0)]
     return max(lo for lo, _ in brackets), max(hi for _, hi in brackets)
+
+
+def bracket_bits(bracket, Q, tol, max_iter):
+    """(lo, hi) as float.hex, or the exception's type, of one bracket call."""
+    try:
+        with np.errstate(all="ignore"):
+            return tuple(x.hex() for x in bracket(Q, tol, max_iter))
+    except NoConvergence:
+        return NoConvergence
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    s=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    entries=st.sampled_from(["uniform", "log-uniform", "subnormal", "zeros"]),
+    order=st.sampled_from("CF"),
+    tol=st.sampled_from([1e-14, 1e-13, 1e-8, 1e-3, 0.0]),
+)
+def test_collatz_wielandt_is_the_numpy_loop_bit_for_bit(s, seed, entries, order, tol):
+    rng = np.random.default_rng(seed)
+    Q = rng.random((s, s))
+    if entries == "log-uniform":
+        Q = 10.0 ** rng.uniform(-300.0, 0.0, (s, s))
+    elif entries == "subnormal":
+        # a quarter of the entries subnormal, between 5e-324 and about 2e-320
+        tiny = rng.random((s, s)) < 0.25
+        Q[tiny] = rng.integers(1, 2**12, tiny.sum()) * 5e-324
+    elif entries == "zeros":
+        Q[rng.random((s, s)) < 0.5] = 0.0
+    Q = np.asarray(Q, order=order)
+    got = bracket_bits(_collatz_wielandt, Q, tol, 300)
+    assert got == bracket_bits(reference_collatz_wielandt, Q, tol, 300)
+
+
+def test_collatz_wielandt_refuses_to_stop_on_a_nan_ratio():
+    # the second entry of v underflows to 0, its ratio turns 0/0 = NaN, and
+    # the first entry alone reads lo = hi = 1; numpy's NaN-propagating min
+    # and max never stopped there, and neither may the builtins
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+        _collatz_wielandt(np.diag([1.0, 0.5]), 1e-13, max_iter=5000)
+
+
+def test_collatz_wielandt_degenerate_brackets():
+    assert [x.hex() for x in _collatz_wielandt(np.zeros((1, 1)), 1e-13)] == [(0.0).hex()] * 2
+    assert _collatz_wielandt(np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-13) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["irreducible", "block-triangular"])

@@ -669,12 +669,17 @@ def test_batched_members_equal_single_member_passes(s, zeros, hyperbolic):
     ]
 
 
+@pytest.mark.parametrize("gathered", [None, 1, 4], ids=["default-gather", "gather-1-step", "gather-4-steps"])
 @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zero-entries"])
 @pytest.mark.parametrize("s", [2, 3, 50])
-def test_every_batched_row_is_the_one_member_recursion(s, zeros):
+def test_every_batched_row_is_the_one_member_recursion(s, zeros, gathered, monkeypatch):
     # np.matmul over the batch must give each member the floats of z @ K on
-    # its own rows: a change in numpy's matmul dispatch fails here by name
+    # its own rows: a change in numpy's matmul dispatch fails here by name.
+    # The step kernels are gathered some steps at a time; 4 steps leave a
+    # shorter last run of the 29 steps that read a kernel
     model, panel, xs = batch_case(s, zeros)
+    if gathered is not None:
+        monkeypatch.setattr(longrun.evaluator, "_GATHER_FLOATS", gathered * len(panel) * s * s)
     rng = np.random.default_rng(s)
     actions = np.stack([p.table for p in panel])
     tilt = rng.normal(size=actions.shape) * np.array([0.0, 1e-6, 0.5, 40.0, -2.0, -1e-8, 3.0])[:, None, None]

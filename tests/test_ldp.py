@@ -524,6 +524,24 @@ def test_deviation_rate_three_states():
     assert e <= probe + 1e-6
 
 
+@pytest.mark.parametrize(
+    "seed, pinned",
+    [
+        (0, "0x1.9a7759094bdb8p-7"),
+        (1, "0x1.160d8a1b9bbb8p-6"),
+        (2, "0x1.350610fe64680p-4"),
+        (3, "0x1.8d38d7bd565e8p-6"),
+    ],
+)
+def test_deviation_rate_of_an_f_ordered_kernel_is_pinned(seed, pinned):
+    # the gemv's bits depend on the matrix layout, so a one-class bracket may
+    # skip its C-ordered class copy only when the tilt is C-ordered itself;
+    # pinned as computed with that copy always made
+    m = random_model(seed, n_states=4)
+    P = m.policy_kernel(StationaryPolicy([0] * 4))
+    assert deviation_rate_infimum(np.asfortranarray(P), m.reward[:, 0], 0.05).hex() == pinned
+
+
 def _plane_simplex_segment(cu, target, steps=120):
     """Grid of simplex points with nu.cu = target (3 states): the infimum of a
     convex rate over either half-space sits on this slice."""
