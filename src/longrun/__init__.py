@@ -50,7 +50,6 @@ from .average_solver import (
     time_extended_solve,
 )
 from .risk_solver import (
-    RiskSolution,
     RiskTimeExtendedSolution,
     gamma_sweep,
     multiplicative_poisson_solve,

@@ -7,7 +7,9 @@ read the optimal gain off the anchor state.
 
 Every solve here and in risk_solver, which passes its own sweep, runs on
 two drivers: _span_iterate (stationary equations) and _backward
-(time-extended recursions).
+(time-extended recursions).  Every stationary solve, additive here or
+multiplicative in risk_solver, returns one record, SpanSolution; the
+additive one is its gamma = 0 case.
 """
 
 from __future__ import annotations
@@ -36,13 +38,25 @@ _GAIN_CROSS_CHECK = 1e-9
 
 @dataclass(frozen=True)
 class SpanSolution:
-    """Relative value function w (min 0), gain, and the attaining policy."""
+    """A stationary solve: relative value function w, gain lam, the span
+    residual of one more sweep, and the attaining policy.
+
+    gamma is the risk factor, 0.0 for the additive (average-reward)
+    equation.  bound is an a-priori sup bound on the relative value: at
+    gamma = 0, span(c) / (1 - delta) from the contraction factor delta, and
+    certificate is "" as no other bound is tried; otherwise certificate
+    names the bound risk_solver.certificate_for picked (bound is inf when
+    "uncertified").
+    """
 
     w: np.ndarray
     lam: float
-    span_residual: float
+    residual: float
     iterations: int
     policy: StationaryPolicy
+    bound: float
+    gamma: float = 0.0
+    certificate: str = ""
 
 
 @dataclass(frozen=True)
@@ -110,7 +124,7 @@ def relative_value_iteration(
     certifies (via the contraction factor) that the returned iterate is
     within tol of the fixed-point class.  The gain is the anchor-state value
     of (Bellman(w) - w) after convergence and equals the optimal long-run
-    average reward.
+    average reward; bound is span(c) / (1 - delta).
     """
     delta = _check_solver_inputs(model, tol, anchor)
     # stopping on the step span certifies span distance <= tol to the fixed point
@@ -123,9 +137,10 @@ def relative_value_iteration(
     return SpanSolution(
         w=w,
         lam=float(resid[anchor]),
-        span_residual=span_seminorm(resid),
+        residual=span_seminorm(resid),
         iterations=iterations,
         policy=StationaryPolicy(acts),
+        bound=model.reward_span() / (1.0 - delta),
     )
 
 
@@ -165,6 +180,7 @@ def poisson_solve(model: Model, policy: StationaryPolicy, tol: float = 1e-10) ->
     to whichever of tol and the cross-check accuracy is stricter.
     """
     sub = model.under_policy(policy)
+    _check_solver_inputs(sub, tol)
     # the fixed 1e-9 cross-check needs the iterated gain at ~2x that accuracy
     eff_tol = min(tol, _GAIN_CROSS_CHECK / 4.0)
     sol = relative_value_iteration(sub, tol=eff_tol)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -210,8 +209,6 @@ def _write_csv(out_dir: str, name: str, header, rows) -> str:
 def _task_solve_average(cfg: ExperimentConfig) -> int:
     mdl = _resolve_model(cfg)
     sol = average_solver.relative_value_iteration(mdl, tol=cfg.tol)
-    delta = mdl.ergodicity
-    span_bound = mdl.reward_span() / (1.0 - delta) if delta < 1.0 else math.inf
     lines = [
         "task: solve-average",
         f"states: {mdl.n_states}",
@@ -219,9 +216,9 @@ def _task_solve_average(cfg: ExperimentConfig) -> int:
         f"lambda: {_fmt(sol.lam)}",
         f"w: {_vec(sol.w)}",
         f"policy: {list(sol.policy.actions)}",
-        f"span_residual: {_fmt(sol.span_residual)}",
+        f"span_residual: {_fmt(sol.residual)}",
         f"iterations: {sol.iterations}",
-        f"bounds: span_w <= {_fmt(span_bound)}",
+        f"bounds: span_w <= {_fmt(sol.bound)}",
     ]
     schedule = _resolve_schedule(cfg)
     if not isinstance(schedule, UnitSchedule):
@@ -330,8 +327,7 @@ def _task_verify(cfg: ExperimentConfig) -> int:
 
     def _avg():
         rep = evaluator.discounted_optimality_check(
-            mdl, schedule, cfg.k, horizons, x=cfg.x,
-            panel_size=cfg.panel_size, panel_seed=cfg.seed, tol=cfg.tol,
+            mdl, sol, schedule, cfg.k, horizons, x=cfg.x, panel_size=cfg.panel_size, panel_seed=cfg.seed
         )
         return f"lambda={_fmt(rep.context['lambda'])}, rows={len(rep.rows)}"
 
@@ -560,6 +556,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         unknown = set(data) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
+        if data.get("task", args.task) != args.task:
+            raise ConfigError(f"config task {data['task']!r} differs from the invoked task {args.task!r}")
         # configuration files are the reproducible record: they win over flags
         values.update(data)
     if not isinstance(values.get("out", ""), str):

@@ -29,7 +29,6 @@ from .model import (
     _policy_actions,
     _risk_factor,
 )
-from .average_solver import relative_value_iteration
 from .risk_solver import risk_relative_value_iteration
 
 CHECK_SLACK = 1e-12
@@ -358,28 +357,30 @@ def _finish(name: str, rows: list, context: dict) -> CheckReport:
 
 def discounted_optimality_check(
     model: Model,
+    sol,
     schedule: DiscountSchedule,
     k: int,
     horizon_grid,
     x: int = 0,
     panel_size: int = 100,
     panel_seed: int = 0,
-    tol: float = 1e-10,
 ) -> CheckReport:
     """Finite-horizon audit of average-reward optimality under general discounting.
 
-    Solves the undiscounted optimality equation, then checks that the solved
-    stationary policy's discounted finite-horizon value stays within the
-    certified slack of the gain at every horizon, and that a seeded panel of
-    random time-varying policies never beats the gain by more than the
-    phi(k)-weighted relative-value slack.  The panel, drawn from its own
+    Audits sol, the model's solved undiscounted optimality equation (the
+    SpanSolution of relative_value_iteration): its stationary policy's
+    discounted finite-horizon value must stay within the certified slack of
+    the gain at every horizon, and a seeded panel of random time-varying
+    policies must never beat the gain by more than the phi(k)-weighted
+    relative-value slack.  The panel, drawn from its own
     seeded generator, is drawn right after the window check, so a panel
-    above its cap is refused before any solve or evaluation.
+    above its cap is refused before any evaluation.
     """
+    if sol.gamma != 0.0 or sol.w.shape != (model.n_states,):
+        raise InvalidModel("the discounted check audits an average-reward solve of the same model")
     horizon_grid = _horizon_grid(horizon_grid)
     phi_k = schedule.phi(k)
     panel = random_policy_panel(model, n_slices=max(horizon_grid), size=panel_size, seed=panel_seed, start=k)
-    sol = relative_value_iteration(model, tol=tol)
     w_max = float(sol.w.max())
     members = [sol.policy] + panel
     rows = []

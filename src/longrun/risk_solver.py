@@ -5,7 +5,9 @@ the gamma sweep connecting the risk-sensitive gain to the average reward.
 The multiplicative equations are always iterated on their logarithmic
 transform with shifted exponentials, so reward scales that would overflow
 exp() directly remain solvable.  The log-space sweep runs through the
-span-iteration and backward drivers of average_solver.
+span-iteration and backward drivers of average_solver, and a stationary
+solve returns average_solver's SpanSolution with its risk factor, bound and
+certificate filled in; gamma_sweep's gamma = 0 row is the additive solve.
 """
 
 from __future__ import annotations
@@ -36,26 +38,6 @@ from .average_solver import SpanSolution, _backward, _check_solver_inputs, _span
 CERT_EQUIVALENCE = "equivalence"
 CERT_MARGIN = "margin"
 CERT_NONE = "uncertified"
-
-
-@dataclass(frozen=True)
-class RiskSolution:
-    """Solution of a multiplicative optimality or Poisson equation.
-
-    certificate records which a-priori sup-norm bound on w applies
-    ("equivalence": span(gamma c) + ln(row ratio), "margin": the
-    contraction-margin bound, or "uncertified" when neither sufficient
-    condition holds); bound is its numeric value (inf when uncertified).
-    """
-
-    gamma: float
-    w: np.ndarray
-    lam: float
-    residual: float
-    iterations: int
-    policy: StationaryPolicy
-    certificate: str
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -141,13 +123,16 @@ def risk_relative_value_iteration(
     tol: float = 1e-10,
     max_iter: int = 1_000_000,
     anchor: int = 0,
-) -> RiskSolution:
+) -> SpanSolution:
     """Solve the risk-sensitive optimality equation by log-space span iteration.
 
     The iteration stops once the span of (operator(w) - w) is at most tol;
     the gain is the anchor value of that residual divided by gamma.  The
     extremum is a sup for gamma > 0 and an inf for gamma < 0; both signs run
-    through the same code path.
+    through the same code path.  certificate names the a-priori sup bound
+    on w that applies ("equivalence": span(gamma c) + ln(row ratio),
+    "margin": the contraction-margin bound, or "uncertified" when neither
+    sufficient condition holds); bound is its value (inf when uncertified).
     """
     gamma = _risk_factor(gamma)
     _check_solver_inputs(model, tol, anchor)
@@ -155,8 +140,8 @@ def risk_relative_value_iteration(
     sweep = functools.partial(_risk_values, model, gamma)
     w, values, actions, iterations = _span_iterate(model, sweep, tol, max_iter)
     resid = values - w
-    return RiskSolution(gamma=gamma, w=w, lam=float(resid[anchor]) / gamma, residual=span_seminorm(resid),
-                        iterations=iterations, policy=StationaryPolicy(actions), certificate=cert, bound=bound)
+    return SpanSolution(w=w, lam=float(resid[anchor]) / gamma, residual=span_seminorm(resid), iterations=iterations,
+                        policy=StationaryPolicy(actions), bound=bound, gamma=gamma, certificate=cert)
 
 
 def multiplicative_poisson_solve(
@@ -165,7 +150,7 @@ def multiplicative_poisson_solve(
     gamma: float,
     tol: float = 1e-10,
     max_iter: int = 1_000_000,
-) -> RiskSolution:
+) -> SpanSolution:
     """Solve the multiplicative Poisson equation for a fixed stationary policy."""
     gamma = _risk_factor(gamma)
     sub = model.under_policy(policy)
@@ -293,29 +278,22 @@ def risk_time_extended_solve(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    lam: float
-    certificate: str
-    residual: float
-
-
 def gamma_sweep(model: Model, policy: StationaryPolicy, gammas, tol: float = 1e-10) -> list:
     """Fixed-policy risk-sensitive gain across a list of risk factors.
 
-    Returns rows sorted by gamma, including a gamma = 0 row computed from
-    the additive Poisson equation (the small-risk limit).  The gains are
-    nondecreasing in gamma.  Every row solves on one frozen single-action
-    model, so its ergodicity coefficient is computed once per sweep.
+    Returns the solves themselves, one SpanSolution per gamma, stably sorted
+    by gamma: the additive Poisson solve (the small-risk limit) as the
+    gamma = 0 row, and a multiplicative Poisson solve per given gamma.
+    Every row solves on one frozen single-action model, with its all-zero
+    policy, so its ergodicity coefficient is computed once per sweep.
+
+    The true gains are nondecreasing in gamma.  The computed ones are only
+    within tol / |gamma| of them (lam is a log-space residual divided by
+    gamma), so near GAMMA_FLOOR they can fall by up to that much.
     """
     sub = model.under_policy(policy)
     zero_policy = StationaryPolicy([0] * sub.n_states)
-    rows = []
-    avg: SpanSolution = poisson_solve(sub, zero_policy, tol=tol)
-    rows.append(SweepRow(gamma=0.0, lam=avg.lam, certificate="", residual=avg.span_residual))
-    for gamma in gammas:
-        sol = multiplicative_poisson_solve(sub, zero_policy, gamma, tol=tol)
-        rows.append(SweepRow(gamma=sol.gamma, lam=sol.lam, certificate=sol.certificate, residual=sol.residual))
+    rows = [poisson_solve(sub, zero_policy, tol=tol)]
+    rows += [multiplicative_poisson_solve(sub, zero_policy, gamma, tol=tol) for gamma in gammas]
     rows.sort(key=lambda r: r.gamma)
     return rows

@@ -61,6 +61,11 @@ def random_model(seed: int, n_states: int = 3, n_actions: int = 2, min_entry: fl
     return Model(kernel, reward)
 
 
+def readme_model() -> Model:
+    """The README model: gen-model --states 3 --actions 2 --min-entry 0.05 --seed 7."""
+    return gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": 7})
+
+
 def deviation_kernel(seed: int, copy: int = 0) -> np.ndarray:
     """The kernel that the deviation benchmark's model copy audits at a
     workload seed (model seed SeedSequence([seed, 3] + [copy if nonzero]))."""

@@ -39,7 +39,7 @@ def test_rvi_reference_solution(reference_model):
     assert sol.lam == pytest.approx(2.0 / 3.0, abs=1e-10)
     assert np.allclose(sol.w, [4.0 / 3.0, 0.0], atol=1e-9)
     assert sol.w.min() == 0.0
-    assert sol.span_residual <= 1e-12
+    assert sol.residual <= 1e-12
 
 
 def test_rvi_constant_reward():

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import longrun.average_solver
 import longrun.cli
 import longrun.evaluator
 import longrun.ldp
@@ -366,6 +367,16 @@ def test_config_overrides_flags(tmp_path):
     assert not os.path.exists(tmp_path / "from_flag")
 
 
+def test_a_config_task_other_than_the_invoked_one_exits_2(tmp_path, capsys):
+    # the config's task used to replace the command's: verify ran gen-model and exited 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"task": "gen-model", "model": {"generator": {
+        "n_states": 2, "n_actions": 1, "min_entry": 0.25, "seed": 9}}}), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o1")]) == 2
+    assert "config task 'gen-model' differs from the invoked task 'verify'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 # --------------------------------------------------------------------- tasks
 
 
@@ -564,6 +575,27 @@ def test_verify_reference_model(tmp_path):
     text = read(out / "report.txt")
     assert "result: PASS" in text
     assert text.count("PASS") == 8  # seven checks plus the summary
+
+
+def test_verify_solves_the_average_equation_once(tmp_path, monkeypatch):
+    # the discounted check audits verify's own solve of the README model, so
+    # the additive span iteration sees the full 3 x 2 model once (it saw it
+    # twice), then the sweep's frozen one-action model
+    seen = []
+    inner = longrun.average_solver._span_iterate
+
+    def counted(model, sweep, *args):
+        if sweep.func is longrun.average_solver._bellman_values:
+            seen.append(model.n_actions)
+        return inner(model, sweep, *args)
+
+    monkeypatch.setattr(longrun.average_solver, "_span_iterate", counted)
+    gen = tmp_path / "gen"
+    assert main(["gen-model", "--states", "3", "--actions", "2", "--min-entry", "0.05", "--seed", "7",
+                 "--out", str(gen)]) == 0
+    assert main(["verify", "--model", str(gen / "model.json"), "--schedule", "hyperbolic:1,1",
+                 "--horizons", "100,500", "--seed", "1", "--out", str(tmp_path / "v")]) == 0
+    assert seen == [2, 1]
 
 
 def test_verify_reports_are_byte_identical(model_file, tmp_path):

@@ -11,6 +11,7 @@ from longrun import (
     GammaNotAllowed,
     InvalidModel,
     Model,
+    SpanSolution,
     StationaryPolicy,
     TimeVaryingPolicy,
     UnitSchedule,
@@ -26,6 +27,8 @@ from longrun import (
     sandwich_check,
     simulate,
 )
+
+from conftest import readme_model
 
 
 # ----------------------------------------------------------- exact evaluators
@@ -351,31 +354,31 @@ def test_simulate_error_scales_like_sqrt_reps(unit):
 
 
 def test_discounted_optimality_check_passes(reference_model, hyperbolic):
-    rep = discounted_optimality_check(
-        reference_model, hyperbolic, 0, [100, 1000], panel_size=20, panel_seed=3
-    )
+    sol = relative_value_iteration(reference_model)
+    rep = discounted_optimality_check(reference_model, sol, hyperbolic, 0, [100, 1000], panel_size=20, panel_seed=3)
     assert rep.passed
     assert rep.context["lambda"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
 def test_discounted_optimality_check_two_actions(two_action_model, hyperbolic):
-    rep = discounted_optimality_check(
-        two_action_model, hyperbolic, 2, [50, 500], panel_size=20, panel_seed=3
-    )
+    sol = relative_value_iteration(two_action_model)
+    rep = discounted_optimality_check(two_action_model, sol, hyperbolic, 2, [50, 500], panel_size=20, panel_seed=3)
     assert rep.passed
 
 
 def test_discounted_optimality_check_needs_a_horizon(reference_model, hyperbolic):
     # an empty grid used to raise a bare ValueError from max()
+    sol = relative_value_iteration(reference_model)
     with pytest.raises(InvalidModel, match="at least one horizon"):
-        discounted_optimality_check(reference_model, hyperbolic, 0, [], panel_size=2)
+        discounted_optimality_check(reference_model, sol, hyperbolic, 0, [], panel_size=2)
 
 
 @pytest.mark.parametrize("grid", [[4.7], ["5"], [True]], ids=["fraction", "text", "bool"])
 def test_discounted_optimality_check_refuses_non_integer_horizons(reference_model, hyperbolic, grid):
     # 4.7 used to check n = 4, "5" n = 5 and True n = 1
+    sol = relative_value_iteration(reference_model)
     with pytest.raises(InvalidModel, match="integer horizons"):
-        discounted_optimality_check(reference_model, hyperbolic, 0, grid, panel_size=2)
+        discounted_optimality_check(reference_model, sol, hyperbolic, 0, grid, panel_size=2)
 
 
 def test_adversarial_policy_stays_below_gain(reference_model, hyperbolic):
@@ -414,7 +417,7 @@ def test_unit_risk_truncation_matches_direct_form(reference_model, reference_pol
 
 def test_constant_reward_check_has_zero_slack(unit):
     m = Model(np.array([[[0.75, 0.25], [0.5, 0.5]]]), np.full((2, 1), 1.0))
-    rep = discounted_optimality_check(m, unit, 0, [10, 100], panel_size=5, panel_seed=0)
+    rep = discounted_optimality_check(m, relative_value_iteration(m), unit, 0, [10, 100], panel_size=5, panel_seed=0)
     for row in rep.rows[:2]:
         assert row.value <= 1e-12
 
@@ -480,7 +483,8 @@ def test_checks_never_fail_on_random_ergodic_models(hyperbolic, unit):
     for seed in range(5):
         m = random_model(seed * 31)
         for sched in (hyperbolic, unit):
-            rep = discounted_optimality_check(m, sched, 1, [30, 120], panel_size=10, panel_seed=seed)
+            sol = relative_value_iteration(m)
+            rep = discounted_optimality_check(m, sol, sched, 1, [30, 120], panel_size=10, panel_seed=seed)
             assert rep.passed
             panel = random_policy_panel(m, n_slices=100, size=10, seed=seed)
             for gamma in (0.3, 1.0):
@@ -596,15 +600,26 @@ def test_panel_refuses_more_entries_than_its_cap_before_drawing(two_action_model
 
 
 def test_discounted_check_refuses_an_oversized_panel_before_solving(monkeypatch, unit):
-    # an identity kernel is not ergodic, so the solve would raise NotErgodic;
-    # the panel is drawn first, so its cap wins and no value is computed
+    # an identity kernel is not ergodic, so it has no solve; the check audits
+    # the one it is handed, and draws the panel first, so its cap wins and no
+    # value is computed
     calls = []
     inner = longrun.evaluator._forward
     monkeypatch.setattr(longrun.evaluator, "_forward", lambda *args: calls.append(args) or inner(*args))
     frozen = Model(np.array([np.eye(2), np.eye(2)]), np.zeros((2, 2)))
+    sol = SpanSolution(w=np.zeros(2), lam=0.0, residual=0.0, iterations=0, policy=StationaryPolicy([0, 0]), bound=0.0)
     with pytest.raises(InvalidModel, match="exceeds"):
-        discounted_optimality_check(frozen, unit, 0, [67109], panel_size=1000)
+        discounted_optimality_check(frozen, sol, unit, 0, [67109], panel_size=1000)
     assert not calls
+
+
+def test_discounted_check_refuses_a_solve_it_cannot_audit(reference_model, hyperbolic):
+    # a risk solve's w and gain are in log space, and a 3-state model's w has
+    # the wrong length; either would be audited against the wrong slack
+    three = Model(np.full((1, 3, 3), 1.0 / 3.0), np.zeros((3, 1)))
+    for sol in (risk_relative_value_iteration(reference_model, 0.5), relative_value_iteration(three)):
+        with pytest.raises(InvalidModel, match="average-reward solve of the same model"):
+            discounted_optimality_check(reference_model, sol, hyperbolic, 0, [10], panel_size=2)
 
 
 # ------------------------------------------------- one batched recursion
@@ -713,12 +728,6 @@ def test_blocks_of_members_match_one_block(monkeypatch, width, hyperbolic):
     assert sizes == blocks + blocks
 
 
-def readme_model():
-    from longrun.cli import gen_model
-
-    return gen_model({"n_states": 3, "n_actions": 2, "min_entry": 0.05, "seed": 7})
-
-
 def test_each_check_makes_one_forward_call(monkeypatch, hyperbolic):
     # the README model and verify's panels: the discounted check evaluates
     # its 101 members at both horizons in one pass, the risk check its 100
@@ -727,8 +736,9 @@ def test_each_check_makes_one_forward_call(monkeypatch, hyperbolic):
     from longrun import near_optimality_margin
 
     model = readme_model()
+    sol = relative_value_iteration(model)
     sizes = counted_forward(monkeypatch)
-    discounted_optimality_check(model, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1)
+    discounted_optimality_check(model, sol, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1)
     assert sizes == [101]
     panel = random_policy_panel(model, n_slices=500, size=100, seed=2)
     risk_upper_bound_check(model, hyperbolic, 0.5, 0, 500, panel)
@@ -742,10 +752,11 @@ def test_each_check_makes_one_forward_call(monkeypatch, hyperbolic):
 def test_verify_panels_one_forward_call_per_block(monkeypatch, hyperbolic):
     # blocks of 30 members: the 101-member discounted pass takes four calls
     model = readme_model()
-    want = discounted_optimality_check(model, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1)
+    sol = relative_value_iteration(model)
+    want = discounted_optimality_check(model, sol, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1)
     monkeypatch.setattr(longrun.evaluator, "_SIM_BLOCK", 30 * 500 * 3)
     sizes = counted_forward(monkeypatch)
-    assert discounted_optimality_check(model, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1) == want
+    assert discounted_optimality_check(model, sol, hyperbolic, 0, [100, 500], panel_size=100, panel_seed=1) == want
     assert sizes == [30, 30, 30, 11]
 
 

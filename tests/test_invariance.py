@@ -35,7 +35,7 @@ models = st.builds(
 def test_a_reward_shift_moves_the_gain_and_keeps_the_relative_values(model, shift):
     base = relative_value_iteration(model, tol=TOL)
     moved = relative_value_iteration(Model(model.kernel, model.reward + shift), tol=TOL)
-    assert abs(moved.lam - (base.lam + shift)) <= base.span_residual + moved.span_residual + 1e-12
+    assert abs(moved.lam - (base.lam + shift)) <= base.residual + moved.residual + 1e-12
     assert np.abs(moved.w - base.w).max() <= 2 * TOL + 1e-12
 
 
@@ -61,6 +61,6 @@ def test_relabelling_the_states_permutes_the_relative_values_and_the_policy(mode
     reward[perm] = model.reward
     base = relative_value_iteration(model, tol=TOL)
     moved = relative_value_iteration(Model(kernel, reward), tol=TOL)
-    assert abs(moved.lam - base.lam) <= base.span_residual + moved.span_residual + 1e-12
+    assert abs(moved.lam - base.lam) <= base.residual + moved.residual + 1e-12
     assert np.abs(moved.w[perm] - base.w).max() <= 2 * TOL + 1e-12
     assert (np.asarray(moved.policy.actions)[perm] == np.asarray(base.policy.actions)).all()

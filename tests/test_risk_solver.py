@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -25,7 +26,7 @@ from longrun import (
 )
 from longrun.risk_solver import CERT_NONE, certificate_for
 
-from conftest import random_model
+from conftest import random_model, readme_model
 
 
 def closed_form_two_state(P, c, gamma):
@@ -78,14 +79,18 @@ def test_gamma_to_zero_is_linear(reference_model, reference_policy):
     assert slopes[2] == pytest.approx(slopes[1], rel=2e-2)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf"), True, "x"])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf"), True, "x", "1e-9", None])
 def test_solvers_and_the_perron_oracle_share_one_tolerance_rule(reference_model, reference_policy, tol):
     # perron_oracle(tol=0.0) ran 1e6 power iterations before NoConvergence,
-    # tol=True was a one-iteration solve and tol="x" a bare TypeError
+    # tol=True was a one-iteration solve and tol="x" a bare TypeError;
+    # poisson_solve (and so gamma_sweep) raised a bare TypeError from min()
+    # for "1e-9" and None, and took True and inf
     for call in (
         lambda: perron_oracle(reference_model, reference_policy, 0.5, tol=tol),
         lambda: risk_relative_value_iteration(reference_model, 0.5, tol=tol),
         lambda: relative_value_iteration(reference_model, tol=tol),
+        lambda: poisson_solve(reference_model, reference_policy, tol=tol),
+        lambda: gamma_sweep(reference_model, reference_policy, [0.5], tol=tol),
     ):
         with pytest.raises(InvalidModel, match="tolerance"):
             call()
@@ -332,6 +337,40 @@ def test_gamma_sweep_sandwich_around_average(reference_model, reference_policy):
     rows = gamma_sweep(reference_model, reference_policy, [-0.7, 0.7], tol=1e-12)
     by_gamma = {round(r.gamma, 3): r.lam for r in rows}
     assert by_gamma[-0.7] <= avg <= by_gamma[0.7]
+
+
+def test_gamma_sweep_rows_are_the_direct_solves():
+    # one record for every stationary solve: each row is, field by field and
+    # bit for bit, the Poisson solve of the frozen model at its gamma
+    model = readme_model()
+    policy = relative_value_iteration(model).policy
+    rows = gamma_sweep(model, policy, [1.0, -0.5, 0.1])
+    assert [r.gamma for r in rows] == [-0.5, 0.0, 0.1, 1.0]
+    assert type(rows[1].gamma) is float and rows[1].certificate == ""
+    sub, zero = model.under_policy(policy), StationaryPolicy([0, 0, 0])
+    for row in rows:
+        if row.gamma == 0.0:
+            direct = poisson_solve(sub, zero)
+        else:
+            direct = multiplicative_poisson_solve(sub, zero, row.gamma)
+        for f in dataclasses.fields(row):
+            got, want = getattr(row, f.name), getattr(direct, f.name)
+            if isinstance(got, (np.ndarray, float)):
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.name
+            else:
+                assert got == want, f.name
+
+
+@pytest.mark.xfail(strict=True, reason="a risk gain is only within tol / |gamma| of the true gain")
+def test_gamma_sweep_rises_near_the_gamma_floor():
+    # the true gains rise with gamma (slope sigma^2 / 2 ~ 0.042 at 0), but at
+    # tol = 1e-10 the computed ones are 0.530843, 0.530462, 0.530462 and
+    # 0.530337; verify --gammas=1e-7,2e-7,3e-7,4e-7 exits 1 on them
+    model = readme_model()
+    rows = gamma_sweep(model, relative_value_iteration(model).policy, [1e-7, 2e-7, 3e-7, 4e-7])
+    lams = [r.lam for r in rows]
+    assert lams == sorted(lams)
 
 
 def test_monotonicity_random_models():

@@ -103,7 +103,7 @@ def test_stationary_solvers_bitwise_match_reference_loops(model):
     for tol in (1e-6, 1e-10):
         w, lam, resid, it, acts = reference_rvi(model, tol, anchor)
         sol = relative_value_iteration(model, tol=tol, anchor=anchor)
-        assert same(sol.w, w) and sol.lam == lam and sol.span_residual == resid
+        assert same(sol.w, w) and sol.lam == lam and sol.residual == resid
         assert sol.iterations == it and sol.policy == StationaryPolicy(acts)
         for gamma in (-2.0, -0.5, 0.3, 1.0):
             w, lam, resid, it, acts = reference_risk_rvi(model, gamma, tol, anchor)
@@ -115,7 +115,7 @@ def test_stationary_solvers_bitwise_match_reference_loops(model):
     sub = model.under_policy(policy)
     w, lam, resid, it, _ = reference_rvi(sub, 1e-10, 0)
     sol = poisson_solve(model, policy)
-    assert same(sol.w, w) and sol.lam == lam and sol.span_residual == resid
+    assert same(sol.w, w) and sol.lam == lam and sol.residual == resid
     assert sol.iterations == it and sol.policy is policy
     w, lam, resid, it, _ = reference_risk_rvi(sub, -0.5, 1e-10, 0)
     sol = multiplicative_poisson_solve(model, policy, -0.5)
